@@ -4,7 +4,8 @@ The package models finite directed graphs, their graph monoids, and the
 companion constructions that turn questions about relative Cohn path
 algebras into questions about Leavitt path algebras.  It decides IBN by
 solving an exact rational weight system and, when no certificate exists,
-by a bounded confluence search for a scalar-collapse witness.
+from the finite order of [1] in K0: a bounded confluence search over the
+pairs that order allows, then a witness built from the torsion relation.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .rewriting import (
     NOT_EQUIVALENT,
     UNKNOWN,
     Closure,
+    Construction,
     EquivalenceOutcome,
     ReductionTrace,
     RewriteSystem,
@@ -57,6 +59,7 @@ from .rewriting import (
     SearchBounds,
     as_vector,
     cohn_presentation,
+    construct_scalar_witness,
     decide_equivalent,
     find_scalar_witness,
     forward_closure,
@@ -65,6 +68,7 @@ from .rewriting import (
     one_step,
     scale,
 )
+from .lattice import torsion_order
 from .certificates import (
     CertificateSystem,
     WeightCertificate,
@@ -127,10 +131,12 @@ __all__ = [
     # rewriting
     "DEFAULT_MAX_M", "EQUIVALENT", "NOT_EQUIVALENT", "UNKNOWN",
     "RewriteSystem", "SearchBounds", "ReductionTrace", "Closure",
-    "EquivalenceOutcome", "ScalarWitness", "as_vector", "scale",
-    "monoid_presentation", "cohn_presentation", "one_step",
+    "EquivalenceOutcome", "ScalarWitness", "Construction", "as_vector",
+    "scale", "monoid_presentation", "cohn_presentation", "one_step",
     "forward_closure", "decide_equivalent", "normal_form",
-    "find_scalar_witness",
+    "find_scalar_witness", "construct_scalar_witness",
+    # lattice
+    "torsion_order",
     # certificates
     "CertificateSystem", "WeightCertificate", "build_system", "solve_exact",
     "rational_rank", "gamma", "verify_certificate", "companion_rank_check",

@@ -244,6 +244,8 @@ def _cmd_companion(ns) -> int:
 
 
 def _cmd_ibn_check(ns) -> int:
+    if ns.max_m < 2:
+        raise _UsageError(f"--max-m must be at least 2, got {ns.max_m}")
     graph, x_default, source = _resolve_input(ns)
     x = _parse_x(ns.x, default=x_default)
     if ns.algebra != KIND_RELATIVE and x:
@@ -317,6 +319,7 @@ def _cmd_ibn_check(ns) -> int:
         lines.append("trace m: " + _trace_str(w.trace_a, verdict.generators))
         lines.append("trace m': " + _trace_str(w.trace_b, verdict.generators))
     lines.append(f"imn: {verdict.imn}")
+    lines.extend(f"note: {note}" for note in verdict.notes)
     lines.append(
         f"bounds: max-states={bounds.max_states} "
         f"max-coeff={bounds.max_total_coefficient} "

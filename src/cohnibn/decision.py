@@ -5,7 +5,8 @@ for a Cohn algebra, the relative companion for a relative one, the graph
 itself for a Leavitt algebra.  IBN of the algebra is then IBN of the
 target's Leavitt path algebra, decided on the target's graph monoid:
 a verified weight certificate certifies it, a replayable scalar witness
-on the all-ones vector refutes it, and exhausted bounds leave it open.
+on the all-ones vector refutes it, and without either (only when the
+witness would break a bound) it is left open.
 Verdicts always carry their evidence, and audit() re-checks that
 evidence from scratch.
 """
@@ -21,14 +22,16 @@ from .certificates import (
     verify_certificate,
 )
 from .construct import cohn_companion, relative_companion
-from .errors import InternalInvariantViolation
+from .errors import CohnIbnError, InternalInvariantViolation, OutOfRangeError
 from .graphs import Graph, incidence, validate
+from .lattice import torsion_order
 from .rewriting import (
     DEFAULT_MAX_M,
     ReductionTrace,
     RewriteSystem,
     ScalarWitness,
     SearchBounds,
+    construct_scalar_witness,
     find_scalar_witness,
     monoid_presentation,
     scale,
@@ -86,17 +89,36 @@ def resolve_target(spec: AlgebraSpec) -> Graph:
     return graph
 
 
+def _relation_rows(rs: RewriteSystem) -> list[list[int]]:
+    """Row e_g - add per rule: the change one firing of the rule undoes."""
+    rows = []
+    for gen, add in rs.rules():
+        row = [-a for a in add]
+        row[gen] += 1
+        rows.append(row)
+    return rows
+
+
 def decide_ibn(
     spec: AlgebraSpec,
     bounds: SearchBounds | None = None,
     max_m: int = DEFAULT_MAX_M,
 ) -> Verdict:
-    """Decide IBN for the algebra: certificate first, then witness search.
+    """Decide IBN for the algebra: certificate first, then a witness.
+
+    With no certificate, the order k0 of [1] in K0 is finite, and only
+    pairs m < m' <= max_m with k0 | m' - m can be equivalent.  They are
+    searched in order, so a witness found is the least pair; if the search
+    finds none, a witness is built from the torsion relation instead.  It
+    is reported only within the bounds; otherwise the verdict is unknown
+    and its notes name the bound to raise.
 
     The certificate route is complete for the Cohn kind, so failure there
     raises InternalInvariantViolation rather than producing a verdict.
     The returned verdict leaves imn unresolved; see decide_imn.
     """
+    if max_m < 2:
+        raise OutOfRangeError(f"max_m must be at least 2, got {max_m}")
     bounds = bounds or SearchBounds()
     target = resolve_target(spec)
     matrix = incidence(target)
@@ -106,6 +128,20 @@ def decide_ibn(
         f"presentation: {rs.num_generators} generators, {rs.num_rules} rules",
     ]
 
+    def verdict(ibn, route, certificate=None, witness=None) -> Verdict:
+        return Verdict(
+            target=target,
+            generators=rs.generators,
+            ibn=ibn,
+            imn=IMN_UNKNOWN,
+            certificate=certificate,
+            witness=witness,
+            bounds=bounds,
+            max_m=max_m,
+            route=route,
+            notes=tuple(notes),
+        )
+
     cert = solve_exact(build_system(matrix))
     if cert is not None:
         if not verify_certificate(cert, rs):
@@ -113,18 +149,7 @@ def decide_ibn(
                 "solved weight system failed verification"
             )
         notes.append("weight system solved; certificate verified")
-        return Verdict(
-            target=target,
-            generators=rs.generators,
-            ibn=IBN_CERTIFIED,
-            imn=IMN_UNKNOWN,
-            certificate=cert,
-            witness=None,
-            bounds=bounds,
-            max_m=max_m,
-            route="certificate",
-            notes=tuple(notes),
-        )
+        return verdict(IBN_CERTIFIED, "certificate", certificate=cert)
 
     notes.append("weight system inconsistent; no certificate exists")
     if spec.kind == KIND_COHN:
@@ -134,38 +159,58 @@ def decide_ibn(
         )
 
     rho = (1,) * rs.num_generators
-    witness = find_scalar_witness(rho, rs, max_m, bounds)
+    torsion = torsion_order(_relation_rows(rs), rho)
+    if torsion is None:
+        raise InternalInvariantViolation(
+            "weight system inconsistent, yet [1] has infinite order in K0"
+        )
+    k0, relation = torsion
+    notes.append(f"order of [1] in K0: k0={k0}")
+    if k0 >= max_m:
+        notes.append(
+            f"no pair m < m' <= max_m={max_m} has k0 | m' - m; "
+            f"raise --max-m to {k0 + 1}"
+        )
+        return verdict(IBN_UNKNOWN, "torsion-bound")
+
+    witness = find_scalar_witness(rho, rs, max_m, bounds, step=k0)
     if witness is not None:
+        route = "witness-search"
         notes.append(
             f"witness search: {witness.m}*rho ~ {witness.m_prime}*rho "
             f"with common descendant"
         )
-        return Verdict(
-            target=target,
-            generators=rs.generators,
-            ibn=IBN_REFUTED,
-            imn=IMN_UNKNOWN,
-            certificate=None,
-            witness=witness,
-            bounds=bounds,
-            max_m=max_m,
-            route="witness-search",
-            notes=tuple(notes),
+    else:
+        notes.append(
+            f"witness search: no pair m < m' <= max_m={max_m} with "
+            f"k0 | m' - m joined within bounds"
         )
-
-    notes.append(f"witness search exhausted all pairs up to max_m={max_m}")
-    return Verdict(
-        target=target,
-        generators=rs.generators,
-        ibn=IBN_UNKNOWN,
-        imn=IMN_UNKNOWN,
-        certificate=None,
-        witness=None,
-        bounds=bounds,
-        max_m=max_m,
-        route="exhausted",
-        notes=tuple(notes),
+        built = construct_scalar_witness(rs, k0, relation, max_m, bounds)
+        witness = built.witness
+        if witness is None:
+            limits = {
+                "max_m": ("--max-m", max_m),
+                "max_total_coefficient": ("--max-coeff", bounds.max_total_coefficient),
+                "max_depth": ("--max-depth", bounds.max_depth),
+            }
+            for name, value in built.needs:
+                flag, limit = limits[name]
+                notes.append(
+                    f"constructed witness breaks {flag}={limit}: "
+                    f"raise {flag} to {value}"
+                )
+            return verdict(IBN_UNKNOWN, "exhausted")
+        route = "witness-construction"
+        notes.append(
+            f"witness construction: {witness.m}*rho ~ {witness.m_prime}*rho "
+            f"from the torsion relation"
+        )
+    notes.append(
+        f"R^{witness.m} ~ R^{witness.m_prime} also refutes IMN: "
+        f"M_{witness.m}(R) ~ End(R^{witness.m}) ~ End(R^{witness.m_prime}) "
+        f"~ M_{witness.m_prime}(R)"
     )
+    return verdict(IBN_REFUTED, route, witness=witness)
 
 
 def decide_imn(verdict: Verdict) -> Verdict:
@@ -190,7 +235,7 @@ def audit(verdict: Verdict, spec: AlgebraSpec) -> bool:
     """Re-verify a verdict's evidence independently of how it was produced."""
     try:
         target = resolve_target(spec)
-    except Exception:
+    except CohnIbnError:
         return False
     if target != verdict.target:
         return False

@@ -21,6 +21,7 @@ import numpy as np
 
 from ._kernels import expand_frontier
 from .errors import (
+    InternalInvariantViolation,
     LengthMismatchError,
     NonTerminatingError,
     OutOfRangeError,
@@ -80,6 +81,12 @@ class RewriteSystem:
             yield int(self.rule_index[k]), tuple(self.rule_add[k].tolist())
 
 
+# The search stores states as int64.  A state's total is at most the
+# larger of its root's total and max_total_coefficient, and one firing adds
+# a rule's out-degree to it, so capping both at 2**62 keeps every sum exact.
+COEFF_LIMIT = 2**62
+
+
 @dataclass(frozen=True)
 class SearchBounds:
     """Caps for the breadth-first closure search; all positive."""
@@ -92,6 +99,11 @@ class SearchBounds:
         for name in ("max_states", "max_total_coefficient", "max_depth"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        if self.max_total_coefficient > COEFF_LIMIT:
+            raise OutOfRangeError(
+                f"max_total_coefficient must be at most 2**62, got "
+                f"{self.max_total_coefficient}"
+            )
 
 
 DEFAULT_MAX_M = 6
@@ -174,6 +186,10 @@ def as_vector(elem: Sequence[int], rs: RewriteSystem) -> Vector:
         )
     if any(c < 0 for c in vec):
         raise ValueError("coefficients must be nonnegative")
+    if sum(vec) > COEFF_LIMIT:
+        raise OutOfRangeError(
+            f"total coefficient {sum(vec)} exceeds the search limit 2**62"
+        )
     return vec
 
 
@@ -465,15 +481,22 @@ def find_scalar_witness(
     rs: RewriteSystem,
     max_m: int = DEFAULT_MAX_M,
     bounds: SearchBounds | None = None,
+    step: int = 1,
 ) -> ScalarWitness | None:
-    """Least pair m < m' <= max_m with m*x equivalent to m'*x, or None."""
+    """Least pair m < m' <= max_m with m*x equivalent to m'*x, or None.
+
+    Only pairs with step | m' - m are tried.  Passing the order of [x] in
+    K0 loses nothing: m*x ~ m'*x forces (m' - m)[x] = 0 there.
+    """
     if max_m < 2:
         raise OutOfRangeError(f"max_m must be at least 2, got {max_m}")
+    if step < 1:
+        raise OutOfRangeError(f"step must be positive, got {step}")
     vec = as_vector(x, rs)
     if not any(vec):
         raise ZeroElementError("witness search requires a nonzero element")
     for m in range(1, max_m):
-        for m_prime in range(m + 1, max_m + 1):
+        for m_prime in range(m + step, max_m + 1, step):
             outcome = decide_equivalent(scale(vec, m), scale(vec, m_prime), rs, bounds)
             if outcome.status == EQUIVALENT:
                 return ScalarWitness(
@@ -485,3 +508,110 @@ def find_scalar_witness(
                     trace_b=outcome.trace_b,
                 )
     return None
+
+
+def fire_greedily(
+    start: Sequence[int], counts: Sequence[int], rs: RewriteSystem
+) -> ReductionTrace | None:
+    """Fire rule k exactly counts[k] times from start, or None if stuck.
+
+    Each step fires the lowest-numbered rule that still owes firings and
+    whose generator is present.  A rule consumes only its own generator,
+    so firing one rule never disables another: if this order gets stuck,
+    every order does.
+    """
+    adds = rs.rule_add.tolist()
+    gens = rs.rule_index.tolist()
+    owed = list(counts)
+    current = list(start)
+    steps = []
+    while any(owed):
+        for k, gen in enumerate(gens):
+            if owed[k] and current[gen]:
+                break
+        else:
+            return None
+        owed[k] -= 1
+        current = [c + a for c, a in zip(current, adds[k])]
+        current[gen] -= 1
+        steps.append((gen, tuple(current)))
+    return ReductionTrace(start=tuple(start), steps=tuple(steps))
+
+
+@dataclass(frozen=True)
+class Construction:
+    """A scalar witness built from a torsion relation, or the bounds it broke.
+
+    ``needs`` pairs each broken bound (``max_m``, ``max_total_coefficient``
+    or ``max_depth``) with the value the witness needs; it is empty exactly
+    when ``witness`` is set.
+    """
+
+    witness: ScalarWitness | None
+    needs: tuple[tuple[str, int], ...] = ()
+
+
+def construct_scalar_witness(
+    rs: RewriteSystem,
+    order: int,
+    relation: Sequence[int],
+    max_m: int = DEFAULT_MAX_M,
+    bounds: SearchBounds | None = None,
+) -> Construction:
+    """A witness c*rho ~ (c+order)*rho from order*rho = sum_k relation[k]*r_k.
+
+    r_k is the relation row of rule k (a unit at its generator minus its
+    replacement), so firing rule k subtracts r_k.  Firing rule k
+    max(0, -relation[k]) times from c*rho and max(0, relation[k]) times
+    from (c+order)*rho ends both sides at the same vector.  The least c
+    for which both firings complete is taken; it exists, since c at least
+    every count always completes.  The witness is returned only if
+    c + order <= max_m, every vector on both traces has total at most
+    max_total_coefficient, and each trace has at most max_depth steps;
+    otherwise the broken bounds are returned with the values needed.
+    """
+    if len(relation) != rs.num_rules:
+        raise LengthMismatchError(
+            f"relation has length {len(relation)}, presentation has "
+            f"{rs.num_rules} rules"
+        )
+    bounds = bounds or SearchBounds()
+    fire_a = [max(0, -c) for c in relation]
+    fire_b = [max(0, c) for c in relation]
+    depth = max(sum(fire_a), sum(fire_b))
+    if depth > bounds.max_depth:
+        return Construction(witness=None, needs=(("max_depth", depth),))
+    rho = (1,) * rs.num_generators
+    c = 1
+    while True:
+        trace_a = fire_greedily(scale(rho, c), fire_a, rs)
+        trace_b = fire_greedily(scale(rho, c + order), fire_b, rs)
+        if trace_a is not None and trace_b is not None:
+            break
+        c += 1
+    if trace_a.end != trace_b.end:
+        raise InternalInvariantViolation(
+            "the torsion relation does not join c*rho and (c+order)*rho"
+        )
+    needs = []
+    if c + order > max_m:
+        needs.append(("max_m", c + order))
+    peak = max(
+        sum(vec)
+        for trace in (trace_a, trace_b)
+        for vec in (trace.start, *(v for _, v in trace.steps))
+    )
+    if peak > bounds.max_total_coefficient:
+        needs.append(("max_total_coefficient", peak))
+    if needs:
+        return Construction(witness=None, needs=tuple(needs))
+    return Construction(
+        witness=ScalarWitness(
+            base=rho,
+            m=c,
+            m_prime=c + order,
+            descendant=trace_a.end,
+            trace_a=trace_a,
+            trace_b=trace_b,
+        )
+    )

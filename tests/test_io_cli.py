@@ -217,6 +217,67 @@ def test_cli_ibn_check_relative_uses_example_x(cli):
     assert code == EXIT_REFUTED
 
 
+def test_cli_ibn_check_max_m_below_two_is_a_usage_error(cli):
+    for source in (["--example", "r2"], ["--example", "relative-2-1"]):
+        for algebra in ("cohn", "relative", "leavitt"):
+            for max_m in ("1", "0", "-5"):
+                code, out, err = cli(
+                    ["ibn-check", *source, "--algebra", algebra, "--max-m", max_m]
+                )
+                assert code == EXIT_USAGE, (source, algebra, max_m)
+                assert out == "" and "--max-m" in err
+
+
+def test_cli_ibn_check_leavitt_roses(cli, tmp_path):
+    # R_n is one vertex with n loops: R ~ R^n, so [1] has order n - 1.
+    def rose(n):
+        path = tmp_path / f"rose{n}.graph"
+        path.write_text(
+            "vertex v;\n" + "".join(f"edge e{i}: v -> v;\n" for i in range(n))
+        )
+        return str(path)
+
+    def check(n, *flags):
+        code, out, _ = cli(
+            ["ibn-check", rose(n), "--algebra", "leavitt", "--format", "json", *flags]
+        )
+        return code, json.loads(out)["result"]
+
+    for n in range(2, 7):
+        code, result = check(n)
+        assert code == EXIT_REFUTED
+        assert result["route"] == "witness-search"
+        assert (result["witness"]["m"], result["witness"]["m_prime"]) == (1, n)
+    for n in (7, 8):
+        code, result = check(n)
+        assert code == EXIT_UNKNOWN
+        assert result["route"] == "torsion-bound"
+        assert f"order of [1] in K0: k0={n - 1}" in result["notes"]
+        assert any(f"raise --max-m to {n}" in note for note in result["notes"])
+        code, result = check(n, "--max-m", str(n))
+        assert code == EXIT_REFUTED
+        assert (result["witness"]["m"], result["witness"]["m_prime"]) == (1, n)
+
+
+def test_cli_ibn_check_text_lists_the_notes(cli):
+    code, out, _ = cli(["ibn-check", "--example", "r2", "--algebra", "leavitt"])
+    assert code == EXIT_REFUTED
+    assert "note: order of [1] in K0: k0=1" in out.splitlines()
+
+
+def test_cli_out_of_range_coefficients_are_input_errors(cli):
+    huge = "100000000000000000000"
+    for argv in (
+        ["monoid-equiv", "--example", "r2", "-a", huge, "-b", "2"],
+        ["monoid-equiv", "--example", "f-r2", "-a", f"1,{huge}", "-b", "2,0"],
+        ["monoid-equiv", "--example", "r2", "-a", "1", "-b", "2", "--max-coeff", huge],
+        ["ibn-check", "--example", "r2", "--algebra", "leavitt", "--max-coeff", huge],
+    ):
+        code, out, err = cli(argv)
+        assert code == EXIT_INPUT, argv
+        assert out == "" and "Traceback" not in err
+
+
 def test_cli_ibn_check_x_requires_relative(cli):
     code, _, err = cli(
         ["ibn-check", "--example", "r2", "--algebra", "cohn", "--x", "v"]

@@ -1,0 +1,208 @@
+"""The order of a vector modulo an integer lattice, checked by definition,
+and the scalar witness built from it."""
+
+import random
+from fractions import Fraction
+from math import lcm
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cohnibn import (
+    LengthMismatchError,
+    SearchBounds,
+    build_system,
+    construct_scalar_witness,
+    graph_from,
+    incidence,
+    monoid_presentation,
+    rose_two,
+    solve_exact,
+    torsion_order,
+)
+from cohnibn.lattice import echelon_basis
+from conftest import make_random_graph
+
+
+def _relation_rows(matrix):
+    """Rows e_v - A_v for the regular vertices, as Python ints."""
+    rows = []
+    for i in range(matrix.num_regular):
+        row = [-int(a) for a in matrix.entries[i]]
+        row[i] += 1
+        rows.append(row)
+    return rows
+
+
+def _combine(coefficients, rows, width):
+    out = [0] * width
+    for c, row in zip(coefficients, rows):
+        out = [a + c * b for a, b in zip(out, row)]
+    return out
+
+
+def _solve_left(matrix, y):
+    """z with z . matrix == y over Q by Gauss-Jordan, or None if singular."""
+    n = len(matrix)
+    work = [
+        [Fraction(matrix[j][i]) for j in range(n)] + [Fraction(y[i])]
+        for i in range(n)
+    ]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if work[r][col]), None)
+        if pivot is None:
+            return None
+        work[col], work[pivot] = work[pivot], work[col]
+        lead = work[col][col]
+        work[col] = [a / lead for a in work[col]]
+        for r in range(n):
+            if r != col and work[r][col]:
+                f = work[r][col]
+                work[r] = [a - f * b for a, b in zip(work[r], work[col])]
+    return [work[i][n] for i in range(n)]
+
+
+def test_torsion_order_small_cases():
+    # Z / 3Z: the order of 1 is 3, with 3 = 1 * 3.
+    assert torsion_order([[3]], [1]) == (3, (1,))
+    # Rose with two loops: e_v - 2 e_v = -1, so [1] = 0 and k = 1.
+    assert torsion_order([[-1]], [1]) == (1, (-1,))
+    # Outside the rational span: no multiple lies in the lattice.
+    assert torsion_order([[1, -1]], [1, 1]) is None
+    assert torsion_order([], [1]) is None
+    # y = 0 has order 1 with the zero relation.
+    assert torsion_order([[2, 4]], [0, 0]) == (1, (0,))
+
+
+def test_echelon_basis_is_an_echelon_z_basis():
+    rows = [[4, 6, 2], [6, 9, 3], [2, 0, 8], [0, 3, 1]]
+    basis = echelon_basis(rows)
+    pivots = [col for col, _, _ in basis]
+    assert pivots == sorted(set(pivots))
+    for j, (col, vec, comb) in enumerate(basis):
+        assert vec[col] != 0
+        assert all(a == 0 for a in vec[:col])
+        assert all(vec[p] == 0 for p in pivots[:j])
+        assert _combine(comb, rows, 3) == vec
+    # Every input row is an integer combination of the basis.
+    for row in rows:
+        rest = list(row)
+        for col, vec, _ in basis:
+            q, r = divmod(rest[col], vec[col])
+            assert r == 0
+            rest = [a - q * b for a, b in zip(rest, vec)]
+        assert not any(rest)
+
+
+def test_torsion_order_matches_definition_on_random_graphs():
+    rng = random.Random(11)
+    torsion = 0
+    for _ in range(300):
+        matrix = incidence(make_random_graph(rng))
+        rows = _relation_rows(matrix)
+        rho = [1] * matrix.size
+        result = torsion_order(rows, rho)
+        has_certificate = solve_exact(build_system(matrix)) is not None
+        assert (result is None) == has_certificate
+        if result is None:
+            continue
+        torsion += 1
+        k, lam = result
+        assert k >= 1 and len(lam) == len(rows)
+        assert _combine(lam, rows, matrix.size) == [k * a for a in rho]
+    assert torsion >= 20
+
+
+def test_torsion_order_is_minimal_against_an_inverse():
+    # Sink-free graphs with I - A nonsingular: lam is forced to be
+    # k * rho (I - A)^-1, so the least k is the lcm of its denominators.
+    rng = random.Random(5)
+    checked = 0
+    orders = set()
+    while checked < 60:
+        n = rng.randint(1, 5)
+        a = [[rng.choice((0, 0, 1, 1, 2)) for _ in range(n)] for _ in range(n)]
+        for row in a:
+            if not any(row):
+                row[rng.randrange(n)] = 1
+        relation = [[int(i == j) - a[i][j] for j in range(n)] for i in range(n)]
+        z = _solve_left(relation, [1] * n)
+        if z is None:
+            continue
+        expected = lcm(*(c.denominator for c in z))
+        k, lam = torsion_order(relation, [1] * n)
+        assert k == expected, (a, z)
+        assert list(lam) == [int(c * k) for c in z]
+        orders.add(k)
+        checked += 1
+    assert len(orders) >= 5
+
+
+@st.composite
+def leavitt_graphs(draw):
+    """Random graphs with 1-4 vertices, at least one of them regular."""
+    n = draw(st.integers(1, 4))
+    vertices = [f"v{i}" for i in range(n)]
+    edges = []
+    for i in range(draw(st.integers(1, n))):
+        counts = [draw(st.integers(0, 2)) for _ in range(n)]
+        if not any(counts):
+            counts[draw(st.integers(0, n - 1))] = 1
+        for j, count in enumerate(counts):
+            edges += [(f"e{i}_{j}_{c}", vertices[i], vertices[j]) for c in range(count)]
+    return graph_from(vertices, edges)
+
+
+@given(leavitt_graphs())
+@settings(max_examples=80, deadline=None)
+def test_certificate_or_replayable_torsion_witness(graph):
+    matrix = incidence(graph)
+    rs = monoid_presentation(matrix)
+    n = matrix.size
+    torsion = torsion_order(_relation_rows(matrix), [1] * n)
+    # Exactly one of the two kinds of evidence exists.
+    assert (torsion is None) == (solve_exact(build_system(matrix)) is not None)
+    if torsion is None:
+        return
+    k, lam = torsion
+    generous = SearchBounds(max_total_coefficient=10**9, max_depth=10**6)
+    built = construct_scalar_witness(rs, k, lam, max_m=10**6, bounds=generous)
+    w = built.witness
+    assert w is not None and built.needs == ()
+    assert w.m_prime - w.m == k
+    assert w.trace_a.start == (w.m,) * n
+    assert w.trace_b.start == (w.m_prime,) * n
+    assert w.trace_a.replay(rs) == w.descendant == w.trace_b.replay(rs)
+
+
+def test_construction_reports_each_broken_bound():
+    rs = monoid_presentation(incidence(rose_two()))
+    k, lam = torsion_order([[-1]], [1])
+    ok = construct_scalar_witness(rs, k, lam)
+    assert (ok.witness.m, ok.witness.m_prime) == (1, 2)
+    assert ok.witness.trace_a.steps == ((0, (2,)),)
+    assert ok.witness.trace_b.steps == ()
+
+    tight = construct_scalar_witness(
+        rs, k, lam, bounds=SearchBounds(max_total_coefficient=1)
+    )
+    assert tight.witness is None
+    assert tight.needs == (("max_total_coefficient", 2),)
+    short = construct_scalar_witness(rs, k, lam, max_m=1)
+    assert short.witness is None and short.needs == (("max_m", 2),)
+    with pytest.raises(LengthMismatchError):
+        construct_scalar_witness(rs, k, (-1, 0))
+
+    # u loops and feeds w; w feeds u three times and loops: 3 rho is
+    # -3 r_u - r_w, so c*rho takes four firings.
+    g = graph_from(
+        ["u", "w"],
+        [("a", "u", "u"), ("b", "u", "w"), ("c", "w", "u"), ("d", "w", "u"),
+         ("e", "w", "u"), ("f", "w", "w")],
+    )
+    rs = monoid_presentation(incidence(g))
+    assert torsion_order(_relation_rows(incidence(g)), [1, 1]) == (3, (-3, -1))
+    deep = construct_scalar_witness(rs, 3, (-3, -1), bounds=SearchBounds(max_depth=3))
+    assert deep.witness is None and deep.needs == (("max_depth", 4),)
+    w = construct_scalar_witness(rs, 3, (-3, -1)).witness
+    assert (w.m, w.m_prime, w.descendant) == (1, 4, (4, 4))
