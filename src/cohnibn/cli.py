@@ -28,6 +28,7 @@ from .decision import (
     AlgebraSpec,
     IBN_CERTIFIED,
     IBN_REFUTED,
+    IBN_UNKNOWN,
     KIND_RELATIVE,
     audit,
     decide_ibn,
@@ -43,6 +44,7 @@ from .rewriting import (
     NOT_EQUIVALENT,
     ReductionTrace,
     SearchBounds,
+    UNKNOWN,
     cohn_presentation,
     decide_equivalent,
     monoid_presentation,
@@ -53,6 +55,15 @@ EXIT_REFUTED = 10
 EXIT_UNKNOWN = 20
 EXIT_USAGE = 2
 EXIT_INPUT = 3
+
+_EXIT_BY_STATUS = {
+    IBN_CERTIFIED: EXIT_OK,
+    IBN_REFUTED: EXIT_REFUTED,
+    IBN_UNKNOWN: EXIT_UNKNOWN,
+    EQUIVALENT: EXIT_OK,
+    NOT_EQUIVALENT: EXIT_REFUTED,
+    UNKNOWN: EXIT_UNKNOWN,
+}
 
 
 class _UsageError(Exception):
@@ -189,11 +200,11 @@ def _emit(text: str, ns) -> None:
         sys.stdout.write(text)
 
 
-def _emit_report(report: dict, ns, text_lines: list[str]) -> None:
+def _emit_report(report: dict, ns, text: str) -> None:
     if ns.format == "json":
         _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", ns)
     else:
-        _emit("\n".join(text_lines) + "\n", ns)
+        _emit(text, ns)
 
 
 # ---------------------------------------------------------------- commands
@@ -234,12 +245,7 @@ def _cmd_companion(ns) -> int:
     footer = ["# incidence order: " + " ".join(matrix.order)]
     for name, row in zip(matrix.order, rows):
         footer.append(f"# incidence row {name}: " + " ".join(str(v) for v in row))
-    text = body + "\n".join(footer) + "\n"
-
-    if ns.format == "json":
-        _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", ns)
-    else:
-        _emit(text, ns)
+    _emit_report(report, ns, body + "\n".join(footer) + "\n")
     return EXIT_OK
 
 
@@ -327,12 +333,8 @@ def _cmd_ibn_check(ns) -> int:
     )
     lines.append("audit: pass")
 
-    _emit_report(report, ns, lines)
-    if verdict.ibn == IBN_CERTIFIED:
-        return EXIT_OK
-    if verdict.ibn == IBN_REFUTED:
-        return EXIT_REFUTED
-    return EXIT_UNKNOWN
+    _emit_report(report, ns, "\n".join(lines) + "\n")
+    return _EXIT_BY_STATUS[verdict.ibn]
 
 
 def _cmd_monoid_equiv(ns) -> int:
@@ -398,27 +400,20 @@ def _cmd_monoid_equiv(ns) -> int:
         "max_depth": ns.max_depth,
     }, source, digest, result, outcome.status)
 
-    _emit_report(report, ns, lines)
-    if outcome.status == EQUIVALENT:
-        return EXIT_OK
-    if outcome.status == NOT_EQUIVALENT:
-        return EXIT_REFUTED
-    return EXIT_UNKNOWN
+    _emit_report(report, ns, "\n".join(lines) + "\n")
+    return _EXIT_BY_STATUS[outcome.status]
 
 
 def _cmd_examples(ns) -> int:
     if ns.name is None:
         rows = describe_examples()
-        if ns.format == "json":
-            report = _report(
-                "examples", {}, "builtin", "sha256:" + hashlib.sha256(b"").hexdigest(),
-                {"examples": [{"name": n, "description": d} for n, d in rows]},
-                "ok",
-            )
-            _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", ns)
-        else:
-            width = max(len(n) for n, _ in rows)
-            _emit("".join(f"{n:<{width}}  {d}\n" for n, d in rows), ns)
+        report = _report(
+            "examples", {}, "builtin", "sha256:" + hashlib.sha256(b"").hexdigest(),
+            {"examples": [{"name": n, "description": d} for n, d in rows]},
+            "ok",
+        )
+        width = max(len(n) for n, _ in rows)
+        _emit_report(report, ns, "".join(f"{n:<{width}}  {d}\n" for n, d in rows))
         return EXIT_OK
 
     graph, x = load_example(ns.name)
@@ -434,17 +429,14 @@ def _cmd_examples(ns) -> int:
 
 def _cmd_family(ns) -> int:
     graph, x = family(ns.n, ns.m)
-    if ns.format == "json":
-        report = _report(
-            "family", {"n": ns.n, "m": ns.m}, f"family:{ns.n}-{ns.m}",
-            _digest(graph, x),
-            {"graph": graph_as_dict(graph), "x": list(x)},
-            "ok",
-        )
-        _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", ns)
-    else:
-        comments = (f"family n={ns.n} m={ns.m}", "x: " + " ".join(x))
-        _emit(emit_graph_text(graph, comments=comments), ns)
+    report = _report(
+        "family", {"n": ns.n, "m": ns.m}, f"family:{ns.n}-{ns.m}",
+        _digest(graph, x),
+        {"graph": graph_as_dict(graph), "x": list(x)},
+        "ok",
+    )
+    comments = (f"family n={ns.n} m={ns.m}", "x: " + " ".join(x))
+    _emit_report(report, ns, emit_graph_text(graph, comments=comments))
     return EXIT_OK
 
 

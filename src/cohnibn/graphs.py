@@ -115,16 +115,15 @@ def validate(graph: Graph) -> Graph:
         if e.dst not in seen:
             raise DanglingEdgeError(f"edge {e.name!r}: unknown range {e.dst!r}")
 
-    has_out = {v: False for v in graph.vertices}
-    for e in graph.edges:
-        has_out[e.src] = True
-    regular = tuple(v for v in graph.vertices if has_out[v])
-    sinks = tuple(v for v in graph.vertices if not has_out[v])
-    return Graph(regular + sinks, graph.edges)
+    split = classify(graph)
+    return Graph(split.regular + split.sinks, graph.edges)
 
 
 def classify(graph: Graph) -> VertexClassification:
-    """Split a validated graph's vertices into regulars and sinks."""
+    """Split a graph's vertices into regulars and sinks, keeping their order.
+
+    Every edge source must be a vertex, as validate() checks.
+    """
     has_out = {v: False for v in graph.vertices}
     for e in graph.edges:
         has_out[e.src] = True

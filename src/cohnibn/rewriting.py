@@ -19,7 +19,6 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from ._kernels import expand_frontier
 from .errors import (
     InternalInvariantViolation,
     LengthMismatchError,
@@ -249,6 +248,59 @@ def one_step(elem: Sequence[int], rs: RewriteSystem) -> tuple[Vector, ...]:
             seen.add(tup)
             out.append(tup)
     return tuple(out)
+
+
+def expand_frontier(frontier, totals, rule_index, rule_add, rule_dsum, max_total):
+    """All one-step successors of a frontier whose total stays within max_total.
+
+    Returns (children, parents, fired, pruned): children[j] is the result of
+    firing rule position fired[j] on frontier row parents[j], in (parent,
+    rule) order; pruned counts applicable firings dropped for exceeding
+    max_total.
+    """
+    num_rows, width = frontier.shape
+    num_rules = rule_index.shape[0]
+    empty = (
+        np.empty((0, width), dtype=np.int64),
+        np.empty(0, dtype=np.int64),
+        np.empty(0, dtype=np.int64),
+    )
+    if num_rules == 0 or num_rows == 0:
+        return (*empty, 0)
+
+    children_parts = []
+    parent_parts = []
+    fired_parts = []
+    pruned = 0
+    for k in range(num_rules):
+        gen = rule_index[k]
+        applicable = frontier[:, gen] > 0
+        if not applicable.any():
+            continue
+        within = totals + rule_dsum[k] <= max_total
+        pruned += int(np.count_nonzero(applicable & ~within))
+        keep = np.nonzero(applicable & within)[0]
+        if keep.size == 0:
+            continue
+        block = frontier[keep] + rule_add[k]
+        block[:, gen] -= 1
+        children_parts.append(block)
+        parent_parts.append(keep)
+        fired_parts.append(np.full(keep.size, k, dtype=np.int64))
+
+    if not children_parts:
+        return (*empty, pruned)
+    children = np.concatenate(children_parts, axis=0)
+    parents = np.concatenate(parent_parts)
+    fired = np.concatenate(fired_parts)
+    # The blocks come out rule by rule; reorder them by (parent, rule).
+    order = np.lexsort((fired, parents))
+    return (
+        np.ascontiguousarray(children[order]),
+        parents[order],
+        fired[order],
+        pruned,
+    )
 
 
 class _Side:
@@ -486,17 +538,21 @@ def find_scalar_witness(
     """Least pair m < m' <= max_m with m*x equivalent to m'*x, or None.
 
     Only pairs with step | m' - m are tried.  Passing the order of [x] in
-    K0 loses nothing: m*x ~ m'*x forces (m' - m)[x] = 0 there.
+    K0 loses nothing: m*x ~ m'*x forces (m' - m)[x] = 0 there.  No firing
+    lowers a total, so a pair whose m'*x is already over the coefficient
+    cap cannot join; the search stops below it.
     """
     if max_m < 2:
         raise OutOfRangeError(f"max_m must be at least 2, got {max_m}")
     if step < 1:
         raise OutOfRangeError(f"step must be positive, got {step}")
+    bounds = bounds or SearchBounds()
     vec = as_vector(x, rs)
     if not any(vec):
         raise ZeroElementError("witness search requires a nonzero element")
-    for m in range(1, max_m):
-        for m_prime in range(m + step, max_m + 1, step):
+    top = min(max_m, bounds.max_total_coefficient // sum(vec))
+    for m in range(1, top):
+        for m_prime in range(m + step, top + 1, step):
             outcome = decide_equivalent(scale(vec, m), scale(vec, m_prime), rs, bounds)
             if outcome.status == EQUIVALENT:
                 return ScalarWitness(

@@ -1,6 +1,7 @@
 """Algebra-level IBN/IMN verdicts, their evidence, and the audit."""
 
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
@@ -267,6 +268,30 @@ def test_search_tries_only_pairs_the_order_allows(monkeypatch):
     assert tried == [(1, 4), (2, 5), (3, 6)]
 
 
+def test_search_skips_pairs_over_the_coefficient_cap(monkeypatch):
+    # No firing lowers a total, so a pair whose m'*rho is over the cap
+    # cannot join; a large --max-m must not try such pairs.
+    edges = [("n3", "n3"), ("n4", "n2"), ("n2", "n1"), ("n4", "n3"),
+             ("n0", "n3"), ("n3", "n1"), ("n1", "n3"), ("n3", "n1"),
+             ("n0", "n2")]
+    graph = graph_from([f"n{i}" for i in range(5)],
+                       [(f"e{i}", s, d) for i, (s, d) in enumerate(edges)])
+    roots = []
+    real = cohnibn.rewriting.decide_equivalent
+
+    def recording(a, b, *args, **kwargs):
+        roots.append(max(sum(a), sum(b)))
+        return real(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(cohnibn.rewriting, "decide_equivalent", recording)
+    bounds = SearchBounds(max_states=1000)
+    spec = AlgebraSpec(kind=KIND_LEAVITT, graph=graph)
+    verdict = decide_imn(decide_ibn(spec, bounds, max_m=400))
+    assert roots and max(roots) <= bounds.max_total_coefficient
+    assert verdict.route == "witness-construction"
+    assert audit(verdict, spec)
+
+
 def test_every_open_verdict_gives_k0_and_the_flag_to_raise():
     rng = random.Random(8)
     tight = SearchBounds(max_states=20, max_total_coefficient=8, max_depth=4)
@@ -314,3 +339,62 @@ def test_audit_lets_unexpected_errors_through(monkeypatch):
     monkeypatch.setattr(cohnibn.decision, "resolve_target", broken)
     with pytest.raises(RuntimeError):
         audit(verdict, spec)
+
+
+def _rank(rows):
+    """Rank over Q by Gaussian elimination on Fractions."""
+    rows = [[Fraction(c) for c in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col] / rows[rank][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _small_graphs():
+    """Every graph on 1 or 2 vertices with edge multiplicities 0-2,
+    with its incidence rows in input vertex order."""
+    for n in (1, 2):
+        names = [f"v{i}" for i in range(n)]
+        for mult in itertools.product(range(3), repeat=n * n):
+            rows = [list(mult[i * n:(i + 1) * n]) for i in range(n)]
+            edges = [
+                (f"e{i}{j}{k}", names[i], names[j])
+                for i in range(n) for j in range(n) for k in range(rows[i][j])
+            ]
+            yield names, rows, graph_from(names, edges)
+
+
+def test_every_graph_with_at_most_two_vertices_matches_the_criterion():
+    # C^X(E) fails IBN exactly when the all-ones vector lies in the
+    # Q-span of e_v - A_v over v in X (X empty: Cohn; X = Reg(E): Leavitt).
+    bounds = SearchBounds(max_states=200)
+    cases = 0
+    for names, rows, graph in _small_graphs():
+        n = len(names)
+        regular = [i for i in range(n) if any(rows[i])]
+        kinds = [
+            (KIND_RELATIVE, x)
+            for size in range(len(regular) + 1)
+            for x in itertools.combinations(regular, size)
+        ]
+        kinds += [(KIND_COHN, ()), (KIND_LEAVITT, tuple(regular))]
+        for kind, x in kinds:
+            relations = [
+                [int(i == j) - rows[i][j] for j in range(n)] for i in x
+            ]
+            ibn_holds = _rank(relations) < _rank(relations + [[1] * n])
+            x_names = tuple(names[i] for i in x) if kind == KIND_RELATIVE else ()
+            spec = AlgebraSpec(kind=kind, graph=graph, x=x_names)
+            verdict = decide_imn(decide_ibn(spec, bounds))
+            assert audit(verdict, spec), (rows, kind, x_names)
+            assert (verdict.ibn == IBN_CERTIFIED) == ibn_holds, (rows, kind, x_names)
+            cases += kind == KIND_RELATIVE
+    assert cases == 294

@@ -7,14 +7,19 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from cohnibn import (
     Edge,
     GraphParseError,
+    cohn_presentation,
     emit_graph_json,
     emit_graph_text,
     graph_as_dict,
+    incidence,
     line_graph,
+    load_example,
+    monoid_presentation,
     parse_graph,
     parse_graph_json,
     parse_graph_text,
@@ -438,3 +443,58 @@ def test_cli_reports_are_deterministic(cli):
         first = cli(argv)
         second = cli(argv)
         assert first == second
+
+
+# Out-of-range values come from fixed sets.  So that many calls get past
+# argument checking into the search, in-range values are listed first
+# (hypothesis draws early entries more often), half the vectors are 0/1
+# vectors of the presentation's length, and each bound is sometimes left
+# at its default.
+_COEFFS = st.sampled_from(["1", "0", str(2**62), "-5", str(2**62 + 1), str(2**63),
+                           str(10**20), "", "x"])
+_SMALL = st.sampled_from(["7", "1", str(2**62), "0", "-5"])
+# --max-coeff 2**62 is left out: with --max-states 1 and --max-m 2**62 the
+# witness search would try about 2**62 / |rho| values of m.
+_MAX_COEFF = st.sampled_from(["64", "1", "0", "-5", str(2**62 + 1), str(2**63),
+                              str(10**20)])
+_MAX_STATES = st.sampled_from(["1000", "7", "1", "0", "-5"])
+
+
+def _flag(draw, name, values):
+    value = draw(st.none() | values)
+    return [] if value is None else [name, value]
+
+
+@st.composite
+def _cli_calls(draw):
+    example = draw(st.sampled_from(["line", "r2", "f-r2", "f-line", "relative-2-1",
+                                    "family-3-2"]))
+    bounds = (_flag(draw, "--max-coeff", _MAX_COEFF)
+              + _flag(draw, "--max-depth", _SMALL)
+              + _flag(draw, "--max-states", _MAX_STATES))
+    if draw(st.booleans()):
+        presentation = draw(st.sampled_from(["graph", "cohn"]))
+        graph = load_example(example)[0]
+        rs = (cohn_presentation(graph) if presentation == "cohn"
+              else monoid_presentation(incidence(graph)))
+        vectors = st.one_of(
+            st.lists(_COEFFS, max_size=8),
+            st.lists(st.sampled_from(["1", "0"]), min_size=rs.num_generators,
+                     max_size=rs.num_generators),
+        ).map(",".join)
+        return ["monoid-equiv", "--example", example, "--presentation", presentation,
+                f"--vec-a={draw(vectors)}", f"--vec-b={draw(vectors)}", *bounds]
+    return ["ibn-check", "--example", example,
+            "--algebra", draw(st.sampled_from(["cohn", "relative", "leavitt"])),
+            *_flag(draw, "--max-m", _SMALL), *bounds]
+
+
+@given(_cli_calls())
+@example(["ibn-check", "--example", "r2", "--algebra", "leavitt",
+          "--max-m", str(2**62), "--max-states", "1"])
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_cli_fuzz_never_crashes(cli, argv):
+    code, _, err = cli(argv)
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_INPUT, EXIT_REFUTED, EXIT_UNKNOWN), argv
+    assert "Traceback" not in err
