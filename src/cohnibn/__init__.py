@@ -53,11 +53,13 @@ from .rewriting import (
     Closure,
     Construction,
     EquivalenceOutcome,
+    LatticeSeparation,
     ReductionTrace,
     RewriteSystem,
     ScalarWitness,
     SearchBounds,
     as_vector,
+    check_lattice_separation,
     cohn_presentation,
     construct_scalar_witness,
     decide_equivalent,
@@ -67,8 +69,9 @@ from .rewriting import (
     normal_form,
     one_step,
     scale,
+    settle_without_search,
 )
-from .lattice import torsion_order
+from .lattice import separating_functional, torsion_order
 from .certificates import (
     CertificateSystem,
     WeightCertificate,
@@ -135,8 +138,9 @@ __all__ = [
     "scale", "monoid_presentation", "cohn_presentation", "one_step",
     "forward_closure", "decide_equivalent", "normal_form",
     "find_scalar_witness", "construct_scalar_witness",
+    "LatticeSeparation", "settle_without_search", "check_lattice_separation",
     # lattice
-    "torsion_order",
+    "torsion_order", "separating_functional",
     # certificates
     "CertificateSystem", "WeightCertificate", "build_system", "solve_exact",
     "rational_rank", "gamma", "verify_certificate", "companion_rank_check",

@@ -45,9 +45,11 @@ from .rewriting import (
     ReductionTrace,
     SearchBounds,
     UNKNOWN,
+    check_lattice_separation,
     cohn_presentation,
     decide_equivalent,
     monoid_presentation,
+    settle_without_search,
 )
 
 EXIT_OK = 0
@@ -350,7 +352,13 @@ def _cmd_monoid_equiv(ns) -> int:
 
     vec_a = _parse_vector(ns.vec_a)
     vec_b = _parse_vector(ns.vec_b)
-    outcome = decide_equivalent(vec_a, vec_b, rs, bounds, invariant)
+    outcome = settle_without_search(vec_a, vec_b, rs, invariant)
+    if outcome is None:
+        outcome = decide_equivalent(vec_a, vec_b, rs, bounds)
+    elif outcome.lattice is not None and not check_lattice_separation(
+        vec_a, vec_b, rs, outcome.lattice
+    ):
+        raise InternalInvariantViolation("lattice separation failed its own check")
 
     digest = _digest(graph, ())
     result = {
@@ -385,6 +393,18 @@ def _cmd_monoid_equiv(ns) -> int:
             ga, gb = outcome.gamma_values
             result["gamma"] = {"a": str(ga), "b": str(gb)}
             lines.append(f"gamma: a={ga} b={gb}")
+        if outcome.lattice is not None:
+            sep = outcome.lattice
+            names = [rs.generators[i] for i in sep.generators]
+            result["lattice"] = {
+                "generators": names,
+                "functional": list(sep.functional),
+                "modulus": sep.modulus,
+            }
+            lines.append(
+                f"lattice: generators {' '.join(names)}, "
+                f"functional {_vec_str(sep.functional)}, modulus {sep.modulus}"
+            )
     lines.append(
         f"bounds: max-states={bounds.max_states} "
         f"max-coeff={bounds.max_total_coefficient} "

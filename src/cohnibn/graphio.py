@@ -51,6 +51,8 @@ def parse_graph_json(text: str) -> Graph:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
+    except RecursionError as exc:
+        raise GraphParseError("invalid JSON: nested too deeply") from exc
     if not isinstance(data, dict):
         raise GraphParseError("top-level value must be an object")
     try:

@@ -59,6 +59,24 @@ def echelon_basis(
     return basis
 
 
+def _coordinates(
+    basis: list[tuple[int, list[int], list[int]]], y: Sequence[int]
+) -> tuple[list[Fraction], list[Fraction]]:
+    """y = sum_j c_j * basis_j + rest, with rest zero at every pivot.
+
+    Returns the rational coefficients c_j and the remainder; y lies in the
+    rational span of the basis exactly when the remainder is zero.
+    """
+    rest = [Fraction(int(a)) for a in y]
+    coefficients = []
+    for col, vec, _ in basis:
+        c = rest[col] / vec[col]
+        if c:
+            rest = [r - c * a for r, a in zip(rest, vec)]
+        coefficients.append(c)
+    return coefficients, rest
+
+
 def torsion_order(
     rows: Sequence[Sequence[int]], y: Sequence[int]
 ) -> tuple[int, tuple[int, ...]] | None:
@@ -72,14 +90,8 @@ def torsion_order(
     the basis is a Z-basis, k * y is in the lattice exactly when every
     k * c_j is an integer, so k is the lcm of their denominators.
     """
-    rest = [Fraction(int(a)) for a in y]
-    coefficients = []
     basis = echelon_basis(rows)
-    for col, vec, _ in basis:
-        c = rest[col] / vec[col]
-        if c:
-            rest = [r - c * a for r, a in zip(rest, vec)]
-        coefficients.append(c)
+    coefficients, rest = _coordinates(basis, y)
     if any(rest):
         return None
     k = lcm(1, *(c.denominator for c in coefficients))
@@ -89,3 +101,46 @@ def torsion_order(
         if scaled:
             lam = [a + scaled * t for a, t in zip(lam, comb)]
     return k, tuple(lam)
+
+
+def separating_functional(
+    rows: Sequence[Sequence[int]], y: Sequence[int]
+) -> tuple[tuple[int, ...], int] | None:
+    """An integer functional that vanishes on the lattice of the rows but
+    not on y, or None exactly when y lies in that lattice.
+
+    Returns (w, d): w . r == 0 (mod d) for every row r and w . y != 0
+    (mod d), where modulus d == 0 means exact equality.  d is 0 when y is
+    outside the rational span of the rows; otherwise d >= 2 and every
+    entry of w is reduced into [0, d).
+
+    With y = sum_j c_j * b_j + rest in the echelon basis b_j, a rational u
+    is fixed by its values off the pivot columns and by the values u . b_j,
+    through a triangular solve on the pivot columns.  If rest has a nonzero
+    entry at a free column q, u is 1 at q, 0 at the other free columns and
+    0 on every b_j, so u . y = rest_q.  Otherwise some c_j is not an
+    integer; u is 0 at the free columns, 1 on b_j and 0 on the others, so
+    u . y = c_j.  w is u cleared of denominators, and d their lcm in the
+    second case.
+    """
+    basis = echelon_basis(rows)
+    coefficients, rest = _coordinates(basis, y)
+    u = [Fraction(0)] * len(rest)
+    free = next((q for q, r in enumerate(rest) if r), None)
+    if free is not None:
+        u[free] = Fraction(1)
+        target = [0] * len(basis)
+    else:
+        j = next((j for j, c in enumerate(coefficients) if c.denominator > 1), None)
+        if j is None:
+            return None
+        target = [int(i == j) for i in range(len(basis))]
+    # b_j is zero at every earlier pivot, so u . b_j involves u only at
+    # b_j's own pivot and later ones: solve from the last pivot back.
+    for (col, vec, _), t in reversed(list(zip(basis, target))):
+        u[col] = (t - sum(a * b for a, b in zip(u, vec))) / vec[col]
+    scale = lcm(1, *(c.denominator for c in u))
+    w = [int(c * scale) for c in u]
+    if free is not None:
+        return tuple(w), 0
+    return tuple(a % scale for a in w), scale

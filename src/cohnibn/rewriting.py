@@ -7,8 +7,9 @@ Two nonzero elements are equal in the quotient monoid exactly when some
 forward rewrites lead them to a common vector, which is what the bounded
 breadth-first search below looks for.  A search can therefore prove
 equality (with replayable traces) but can refute it only when both
-reachability closures are complete, or when a weight functional separates
-the two sides.
+reachability closures are complete.  Two checks refute without a search:
+a weight functional that separates the two sides, and the lattice of the
+rules that can fire from them (``settle_without_search``).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .errors import (
     ZeroElementError,
 )
 from .graphs import Graph, IncidenceMatrix, incidence
+from .lattice import separating_functional
 
 if TYPE_CHECKING:
     from .certificates import WeightCertificate
@@ -154,6 +156,22 @@ class Closure:
 
 
 @dataclass(frozen=True)
+class LatticeSeparation:
+    """Evidence that a - b lies outside the lattice of the rules that can fire.
+
+    ``generators`` lists, in generator order, the indices reachable from the
+    supports of a and b through the rules; ``functional`` gives an integer
+    weight per listed generator.  The functional vanishes modulo
+    ``modulus`` (0 meaning exactly) on the relation row of every rule at a
+    listed generator, and takes different values on a and b.
+    """
+
+    generators: tuple[int, ...]
+    functional: tuple[int, ...]
+    modulus: int
+
+
+@dataclass(frozen=True)
 class EquivalenceOutcome:
     status: str
     descendant: Vector | None = None
@@ -162,6 +180,7 @@ class EquivalenceOutcome:
     reason: str | None = None
     gamma_values: tuple | None = None
     truncated: bool = False
+    lattice: LatticeSeparation | None = None
 
 
 @dataclass(frozen=True)
@@ -402,6 +421,137 @@ def forward_closure(
     return Closure(elements=frozenset(side.vectors), truncated=side.truncated)
 
 
+def _nonzero_pair(
+    a: Sequence[int], b: Sequence[int], rs: RewriteSystem
+) -> tuple[Vector, Vector]:
+    va = as_vector(a, rs)
+    vb = as_vector(b, rs)
+    if not any(va) or not any(vb):
+        raise ZeroElementError("equivalence search requires nonzero elements")
+    return va, vb
+
+
+def _settle_by_invariant(
+    va: Vector, vb: Vector, invariant: "WeightCertificate | None"
+) -> EquivalenceOutcome | None:
+    """Equal vectors are equivalent; a weight functional that differs on
+    the two sides separates them.  None when neither applies."""
+    from .certificates import gamma
+
+    if va == vb:
+        empty = ReductionTrace(start=va, steps=())
+        return EquivalenceOutcome(
+            status=EQUIVALENT, descendant=va, trace_a=empty, trace_b=empty
+        )
+    if invariant is not None:
+        ga = gamma(invariant, va)
+        gb = gamma(invariant, vb)
+        if ga != gb:
+            return EquivalenceOutcome(
+                status=NOT_EQUIVALENT,
+                reason="gamma-separation",
+                gamma_values=(ga, gb),
+            )
+    return None
+
+
+def _reachable(
+    va: Vector, vb: Vector, adds: dict[int, Vector]
+) -> tuple[int, ...]:
+    """Generators reachable from supp(a) | supp(b) through the rules."""
+    seen = {i for vec in (va, vb) for i, c in enumerate(vec) if c}
+    todo = list(seen)
+    while todo:
+        for i, c in enumerate(adds.get(todo.pop(), ())):
+            if c and i not in seen:
+                seen.add(i)
+                todo.append(i)
+    return tuple(sorted(seen))
+
+
+def settle_without_search(
+    a: Sequence[int],
+    b: Sequence[int],
+    rs: RewriteSystem,
+    invariant: "WeightCertificate | None" = None,
+) -> EquivalenceOutcome | None:
+    """Decide a pair of nonzero elements by the checks that need no search.
+
+    In order: equal vectors are equivalent; the weight functional, when
+    supplied, separates by its values (gamma-separation); then the
+    restricted lattice.  Only rules at the generators H reachable from
+    supp(a) | supp(b) can ever fire, and firing rule k subtracts its
+    relation row e_k - add_k, so a common descendant forces a - b into the
+    Z-span of those rows.  When a - b is outside it, the outcome is
+    not-equivalent with reason lattice-separation and a functional that
+    proves it.  Returns None when only a search can decide.
+    """
+    va, vb = _nonzero_pair(a, b, rs)
+    settled = _settle_by_invariant(va, vb, invariant)
+    if settled is not None:
+        return settled
+    adds = dict(rs.rules())
+    held = _reachable(va, vb, adds)
+    rows = [
+        [int(i == gen) - add[i] for i in held]
+        for gen, add in adds.items()
+        if gen in held
+    ]
+    found = separating_functional(rows, [va[i] - vb[i] for i in held])
+    if found is None:
+        return None
+    functional, modulus = found
+    return EquivalenceOutcome(
+        status=NOT_EQUIVALENT,
+        reason="lattice-separation",
+        lattice=LatticeSeparation(held, functional, modulus),
+    )
+
+
+def check_lattice_separation(
+    a: Sequence[int],
+    b: Sequence[int],
+    rs: RewriteSystem,
+    evidence: LatticeSeparation,
+) -> bool:
+    """Re-verify lattice-separation evidence from a, b and the rules alone.
+
+    The reachable generators are recomputed as a fixed point over the rule
+    arrays, independently of how the evidence was found.
+    """
+    held = (np.asarray(a) > 0) | (np.asarray(b) > 0)
+    while True:
+        grown = held.copy()
+        for k in range(rs.num_rules):
+            if held[rs.rule_index[k]]:
+                grown |= rs.rule_add[k] > 0
+        if (grown == held).all():
+            break
+        held = grown
+    gens = np.flatnonzero(held).tolist()
+    d = evidence.modulus
+    if (
+        tuple(gens) != evidence.generators
+        or len(evidence.functional) != len(gens)
+        or d < 0
+    ):
+        return False
+    weights = dict(zip(gens, evidence.functional))
+
+    def value(vec) -> int:
+        total = sum(w * int(vec[i]) for i, w in weights.items())
+        return total % d if d else total
+
+    for k in range(rs.num_rules):
+        gen = int(rs.rule_index[k])
+        if gen in weights:
+            row = [-int(c) for c in rs.rule_add[k]]
+            row[gen] += 1
+            if value(row) != 0:
+                return False
+    return value(a) != value(b)
+
+
 def decide_equivalent(
     a: Sequence[int],
     b: Sequence[int],
@@ -420,30 +570,15 @@ def decide_equivalent(
       values on a and b (values reported), or both closures are complete
       within bounds and disjoint.
     - unknown: the search was truncated without finding a common vector.
+
+    The restricted-lattice check of ``settle_without_search`` is not run
+    here; callers that want it call that first.
     """
-    from .certificates import gamma
-
     bounds = bounds or SearchBounds()
-    va = as_vector(a, rs)
-    vb = as_vector(b, rs)
-    if not any(va) or not any(vb):
-        raise ZeroElementError("equivalence search requires nonzero elements")
-
-    if va == vb:
-        empty = ReductionTrace(start=va, steps=())
-        return EquivalenceOutcome(
-            status=EQUIVALENT, descendant=va, trace_a=empty, trace_b=empty
-        )
-
-    if invariant is not None:
-        ga = gamma(invariant, va)
-        gb = gamma(invariant, vb)
-        if ga != gb:
-            return EquivalenceOutcome(
-                status=NOT_EQUIVALENT,
-                reason="gamma-separation",
-                gamma_values=(ga, gb),
-            )
+    va, vb = _nonzero_pair(a, b, rs)
+    settled = _settle_by_invariant(va, vb, invariant)
+    if settled is not None:
+        return settled
 
     side_a = _Side(va)
     side_b = _Side(vb)

@@ -358,6 +358,39 @@ def _rank(rows):
     return rank
 
 
+def _in_lattice(rows, y):
+    """Whether y is an integer combination of the rows: Euclid on each
+    column brings the rows to echelon form, then y is reduced by them."""
+    rows = [list(row) for row in rows if any(row)]
+    y = list(y)
+    for col in range(len(y)):
+        live = [row for row in rows if row[col]]
+        rows = [row for row in rows if not row[col]]
+        while len(live) > 1:
+            live.sort(key=lambda row: abs(row[col]))
+            head = live[0]
+            for row in live[1:]:
+                q = row[col] // head[col]
+                row[:] = [a - q * b for a, b in zip(row, head)]
+            rows += [row for row in live[1:] if not row[col] and any(row)]
+            live = [head] + [row for row in live[1:] if row[col]]
+        if live:
+            q, r = divmod(y[col], live[0][col])
+            if r:
+                return False
+            y = [a - q * b for a, b in zip(y, live[0])]
+        elif y[col]:
+            return False
+    return True
+
+
+def _order_of_ones(relations, n, limit):
+    """The least k <= limit with k * (1, ..., 1) in the lattice, or None."""
+    return next(
+        (k for k in range(1, limit + 1) if _in_lattice(relations, [k] * n)), None
+    )
+
+
 def _small_graphs():
     """Every graph on 1 or 2 vertices with edge multiplicities 0-2,
     with its incidence rows in input vertex order."""
@@ -376,7 +409,7 @@ def test_every_graph_with_at_most_two_vertices_matches_the_criterion():
     # C^X(E) fails IBN exactly when the all-ones vector lies in the
     # Q-span of e_v - A_v over v in X (X empty: Cohn; X = Reg(E): Leavitt).
     bounds = SearchBounds(max_states=200)
-    cases = 0
+    cases = refuted = 0
     for names, rows, graph in _small_graphs():
         n = len(names)
         regular = [i for i in range(n) if any(rows[i])]
@@ -396,5 +429,13 @@ def test_every_graph_with_at_most_two_vertices_matches_the_criterion():
             verdict = decide_imn(decide_ibn(spec, bounds))
             assert audit(verdict, spec), (rows, kind, x_names)
             assert (verdict.ibn == IBN_CERTIFIED) == ibn_holds, (rows, kind, x_names)
+            if verdict.ibn == IBN_REFUTED:
+                # R^m ~ R^m' puts (m' - m)[1] at 0 in K0, so the order of
+                # [1] modulo the relations over X divides m' - m.
+                gap = verdict.witness.m_prime - verdict.witness.m
+                k0 = _order_of_ones(relations, n, gap)
+                assert k0 is not None and gap % k0 == 0, (rows, kind, x_names)
+                refuted += 1
             cases += kind == KIND_RELATIVE
     assert cases == 294
+    assert refuted == 114

@@ -1,6 +1,7 @@
 """Graph file parsing/emission and the command-line interface."""
 
 import json
+import random
 import shutil
 import subprocess
 import sys
@@ -27,6 +28,7 @@ from cohnibn import (
     validate,
 )
 from cohnibn.cli import EXIT_INPUT, EXIT_OK, EXIT_REFUTED, EXIT_UNKNOWN, EXIT_USAGE
+from conftest import make_random_graph
 
 _PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -185,6 +187,15 @@ def test_cli_missing_file(cli):
     assert "error" in err
 
 
+def test_cli_deeply_nested_json_is_an_input_error(cli, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text('{"vertices": ' + "[" * 200_000 + "]" * 200_000 + "}")
+    code, out, err = cli(["ibn-check", str(path)])
+    assert code == EXIT_INPUT
+    assert out == "" and "nested too deeply" in err
+    assert "Traceback" not in err
+
+
 def test_cli_requires_exactly_one_source(cli):
     code, _, err = cli(["companion"])
     assert code == EXIT_USAGE
@@ -324,14 +335,122 @@ def test_cli_monoid_equiv_outcomes(cli):
     assert "reason: gamma-separation" in out
     assert "gamma: a=2 b=4" in out
 
-    # On a graph whose weight system is unsolvable there is no functional to
-    # separate the sides, so tight bounds leave the search inconclusive.
+    # The weight system of relative-2-1 is unsolvable, but v1 -> v1 and
+    # v2 -> v1 + 2 v2 keep (coefficient of v2) - (coefficient of v1) fixed,
+    # so the restricted lattice separates (0,1) from (0,2).
+    argv = ["monoid-equiv", "--example", "relative-2-1", "-a", "0,1", "-b", "0,2",
+            "--max-coeff", "10"]
+    code, out, _ = cli(argv)
+    assert code == EXIT_REFUTED
+    assert "reason: lattice-separation" in out
+    code, out, _ = cli([*argv, "--format", "json"])
+    assert code == EXIT_REFUTED
+    assert _lattice_evidence_holds(load_example("relative-2-1")[0], json.loads(out)["result"])
+
+    # (2,1) - (1,0) is the relation row of v2, so nothing separates the
+    # sides, and tight bounds leave the search inconclusive.
     code, out, _ = cli(
-        ["monoid-equiv", "--example", "relative-2-1", "-a", "0,1", "-b", "0,2",
+        ["monoid-equiv", "--example", "relative-2-1", "-a", "2,1", "-b", "1,0",
          "--max-coeff", "10"]
     )
     assert code == EXIT_UNKNOWN
     assert "status: unknown" in out
+
+
+def _lattice_evidence_holds(graph, result) -> bool:
+    """Check a lattice-separation report against the graph alone.
+
+    Rules come from the edges: a unit at v becomes the ranges of v's edges,
+    plus one unit at q_v in the cohn presentation.  The reachable set is
+    recomputed from the supports of a and b.
+    """
+    gens = result["generators"]
+    index = {name: i for i, name in enumerate(gens)}
+    rules = {}
+    for edge in graph.edges:
+        add = rules.setdefault(index[edge.src], [0] * len(gens))
+        add[index[edge.dst]] += 1
+    for v, add in rules.items():
+        if f"q_{gens[v]}" in index:
+            add[index[f"q_{gens[v]}"]] += 1
+    a, b = result["a"], result["b"]
+    reached = {i for i in range(len(gens)) if a[i] or b[i]}
+    grown = True
+    while grown:
+        grown = False
+        for v in sorted(reached):
+            for i, c in enumerate(rules.get(v, ())):
+                if c and i not in reached:
+                    reached.add(i)
+                    grown = True
+    lattice = result["lattice"]
+    if lattice["generators"] != [gens[i] for i in sorted(reached)]:
+        return False
+    w = dict(zip(sorted(reached), lattice["functional"]))
+    d = lattice["modulus"]
+
+    def value(vec):
+        total = sum(w[i] * vec[i] for i in w)
+        return total % d if d else total
+
+    for v in reached & rules.keys():
+        row = [-c for c in rules[v]]
+        row[v] += 1
+        if value(row) != 0:
+            return False
+    return value(a) != value(b)
+
+
+def test_cli_lattice_separations_verify_independently(cli, tmp_path):
+    # The cohn presentation gives every rule its own q-generator, so its
+    # lattice has no torsion there and only the graph presentation gives
+    # modular functionals.
+    rng = random.Random(7)
+    seen = {"exact": 0, "modular": 0}
+    for k in range(300):
+        graph = make_random_graph(rng, max_vertices=4, max_edges=8)
+        path = tmp_path / f"g{k}.graph"
+        path.write_text(emit_graph_text(graph))
+        presentation = rng.choice(["graph", "cohn"])
+        width = len(graph.vertices)
+        if presentation == "cohn":
+            width += incidence(graph).num_regular
+        a, b = ([rng.randint(0, 2) for _ in range(width)] for _ in range(2))
+        if not any(a) or not any(b):
+            continue
+        code, out, err = cli(
+            ["monoid-equiv", str(path), "--presentation", presentation,
+             "-a", ",".join(map(str, a)), "-b", ",".join(map(str, b)),
+             "--max-states", "200", "--format", "json"]
+        )
+        assert code in (EXIT_OK, EXIT_REFUTED, EXIT_UNKNOWN), err
+        result = json.loads(out)["result"]
+        if result.get("reason") != "lattice-separation":
+            continue
+        assert code == EXIT_REFUTED
+        assert _lattice_evidence_holds(graph, result), result
+        seen["modular" if result["lattice"]["modulus"] else "exact"] += 1
+    assert min(seen.values()) >= 5, seen
+
+
+def test_cli_lattice_step_runs_after_vector_validation(cli):
+    # On relative-2-1 the lattice separates most pairs; bad vectors must
+    # still fail as input errors first.
+    for presentation, good in (("graph", "0,1"), ("cohn", "0,1,0")):
+        for bad, expected in (
+            ("0,1,0,0", EXIT_INPUT),
+            ("0,-1" if presentation == "graph" else "0,-1,0", EXIT_INPUT),
+            ("0,0" if presentation == "graph" else "0,0,0", EXIT_INPUT),
+            ("0," + str(2**62 + 1) + (",0" if presentation == "cohn" else ""), EXIT_INPUT),
+            ("0,x", EXIT_USAGE),
+        ):
+            for a, b in ((bad, good), (good, bad)):
+                code, out, err = cli(
+                    ["monoid-equiv", "--example", "relative-2-1",
+                     "--presentation", presentation, "-a", a, "-b", b]
+                )
+                assert code == expected, (presentation, a, b)
+                assert out == "" and "Traceback" not in err
 
 
 def test_cli_monoid_equiv_identical_vectors(cli):

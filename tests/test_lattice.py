@@ -1,5 +1,6 @@
-"""The order of a vector modulo an integer lattice, checked by definition,
-and the scalar witness built from it."""
+"""The order of a vector modulo an integer lattice and the functional that
+separates it, checked by definition, and the scalar witness built from the
+order."""
 
 import random
 from fractions import Fraction
@@ -17,6 +18,7 @@ from cohnibn import (
     incidence,
     monoid_presentation,
     rose_two,
+    separating_functional,
     solve_exact,
     torsion_order,
 )
@@ -136,6 +138,56 @@ def test_torsion_order_is_minimal_against_an_inverse():
         orders.add(k)
         checked += 1
     assert len(orders) >= 5
+
+
+def _dot(w, v):
+    return sum(a * b for a, b in zip(w, v))
+
+
+def test_separating_functional_small_cases():
+    # Outside the rational span: an exact functional, modulus 0.
+    assert separating_functional([[1, -1]], [1, 1]) == ((1, 1), 0)
+    assert separating_functional([], [0, 2]) == ((0, 1), 0)
+    # Z / 3Z: 1 is not a multiple of 3, and w = 1 tells them apart mod 3.
+    assert separating_functional([[3]], [1]) == ((1,), 3)
+    # In the lattice, including y = 0 and the empty lattice's zero.
+    assert separating_functional([[3]], [6]) is None
+    assert separating_functional([[2, 4], [0, 3]], [2, 7]) is None
+    assert separating_functional([], [0, 0]) is None
+
+
+def test_separating_functional_matches_definition_on_random_rows():
+    rng = random.Random(23)
+    kinds = {"member": 0, "exact": 0, "modular": 0}
+    for _ in range(600):
+        width = rng.randint(1, 5)
+        rows = [
+            [rng.randint(-4, 4) for _ in range(width)]
+            for _ in range(rng.randint(0, 5))
+        ]
+        # Half the targets are rational combinations of the rows, so that
+        # the torsion case comes up often.
+        if rows and rng.random() < 0.5:
+            coefficients = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in rows]
+            y = [sum(c * row[i] for c, row in zip(coefficients, rows)) for i in range(width)]
+            y = [int(a * lcm(*(a.denominator for a in y))) for a in y]
+        else:
+            y = [rng.randint(-5, 5) for _ in range(width)]
+        order = torsion_order(rows, y)
+        found = separating_functional(rows, y)
+        assert (found is None) == (order is not None and order[0] == 1), (rows, y)
+        if found is None:
+            kinds["member"] += 1
+            continue
+        w, d = found
+        assert len(w) == width and d >= 0
+        for row in rows:
+            assert _dot(w, row) % d == 0 if d else _dot(w, row) == 0
+        assert _dot(w, y) % d != 0 if d else _dot(w, y) != 0
+        # Modulus 0 exactly when no multiple of y is in the lattice.
+        assert (d == 0) == (order is None)
+        kinds["exact" if d == 0 else "modular"] += 1
+    assert min(kinds.values()) >= 50, kinds
 
 
 @st.composite

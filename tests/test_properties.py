@@ -21,6 +21,7 @@ from cohnibn import (
     normal_form,
     parse_weights,
     serialize_weights,
+    settle_without_search,
     solve_exact,
     validate,
     verify_certificate,
@@ -199,3 +200,29 @@ def test_closure_membership_is_symmetric_for_equivalence(data):
         assert ba.status == EQUIVALENT
     if ab.status == NOT_EQUIVALENT:
         assert ba.status == NOT_EQUIVALENT
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_rewrites_of_one_root_are_never_separated(data):
+    # Two rewrite sequences from one root end at equal elements, so no
+    # check that refutes without a search may separate them.
+    g = data.draw(graphs(max_vertices=6, max_edges=10))
+    if data.draw(st.booleans()):
+        rs = cohn_presentation(g)
+    else:
+        rs = monoid_presentation(incidence(g))
+    root = _small_element(data.draw, rs.num_generators)
+    if not any(root):
+        return
+    ends = []
+    for _ in range(2):
+        current = root
+        for _ in range(data.draw(st.integers(0, 6))):
+            succs = one_step(current, rs)
+            if not succs:
+                break
+            current = succs[data.draw(st.integers(0, len(succs) - 1))]
+        ends.append(current)
+    outcome = settle_without_search(*ends, rs)
+    assert outcome is None or outcome.status == EQUIVALENT

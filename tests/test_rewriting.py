@@ -1,5 +1,7 @@
 """Rewrite systems, closures, equivalence search, normal forms, witnesses."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from cohnibn import (
     ZeroElementError,
     as_vector,
     build_system,
+    check_lattice_separation,
     cohn_presentation,
     decide_equivalent,
     f_line_graph,
@@ -29,6 +32,7 @@ from cohnibn import (
     one_step,
     rose_two,
     scale,
+    settle_without_search,
     solve_exact,
     validate,
 )
@@ -318,3 +322,37 @@ def test_find_scalar_witness_argument_checks():
         find_scalar_witness((1,), rs, max_m=1)
     with pytest.raises(ZeroElementError):
         find_scalar_witness((0,), rs)
+
+
+def test_lattice_evidence_check_rejects_tampering():
+    # v2 -> v1 + 2 v2 and v1 -> v1: (coefficient of v2) - (coefficient of
+    # v1) is invariant, so w = (-1, 1) separates (0,1) from (0,2) exactly;
+    # the rose with three loops keeps the coefficient mod 2.
+    relative = graph_from(
+        ["v1", "v2"],
+        [("l1", "v1", "v1"), ("l2a", "v2", "v2"), ("l2b", "v2", "v2"),
+         ("d1", "v2", "v1")],
+    )
+    rose3 = graph_from(["v"], [(f"e{i}", "v", "v") for i in range(3)])
+    for graph, a, b, expected in (
+        (relative, (0, 1), (0, 2), ((0, 1), (-1, 1), 0)),
+        (rose3, (1,), (2,), ((0,), (1,), 2)),
+    ):
+        rs = monoid_presentation(incidence(graph))
+        outcome = settle_without_search(a, b, rs)
+        assert (outcome.status, outcome.reason) == (NOT_EQUIVALENT, "lattice-separation")
+        sep = outcome.lattice
+        assert (sep.generators, sep.functional, sep.modulus) == expected
+        assert check_lattice_separation(a, b, rs, sep)
+        assert not check_lattice_separation(a, a, rs, sep)
+        for tampered in (
+            dataclasses.replace(sep, functional=(0,) * len(sep.functional)),
+            dataclasses.replace(sep, functional=sep.functional + (0,)),
+            dataclasses.replace(sep, generators=sep.generators[1:]),
+            dataclasses.replace(sep, modulus=1),
+            dataclasses.replace(sep, modulus=-sep.modulus - 1),
+        ):
+            assert not check_lattice_separation(a, b, rs, tampered), tampered
+    # The search alone cannot refute there: every closure on the rose is infinite.
+    rs = monoid_presentation(incidence(rose3))
+    assert decide_equivalent((1,), (2,), rs, SearchBounds(max_states=50)).status == UNKNOWN
