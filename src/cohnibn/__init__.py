@@ -3,9 +3,10 @@
 The package models finite directed graphs, their graph monoids, and the
 companion constructions that turn questions about relative Cohn path
 algebras into questions about Leavitt path algebras.  It decides IBN by
-solving an exact rational weight system and, when no certificate exists,
-from the finite order of [1] in K0: a bounded confluence search over the
-pairs that order allows, then a witness built from the torsion relation.
+solving the weight system with K0's integer echelon and, when no
+certificate exists, from the finite order of [1] in K0: a bounded
+confluence search over the pairs that order allows, then a witness built
+from the torsion relation.
 """
 
 from __future__ import annotations
@@ -73,13 +74,10 @@ from .rewriting import (
 )
 from .lattice import separating_functional, torsion_order
 from .certificates import (
-    CertificateSystem,
     WeightCertificate,
-    build_system,
     companion_rank_check,
     gamma,
     parse_weights,
-    rational_rank,
     serialize_weights,
     solve_exact,
     verify_certificate,
@@ -142,9 +140,8 @@ __all__ = [
     # lattice
     "torsion_order", "separating_functional",
     # certificates
-    "CertificateSystem", "WeightCertificate", "build_system", "solve_exact",
-    "rational_rank", "gamma", "verify_certificate", "companion_rank_check",
-    "serialize_weights", "parse_weights",
+    "WeightCertificate", "solve_exact", "gamma", "verify_certificate",
+    "companion_rank_check", "serialize_weights", "parse_weights",
     # decision
     "KIND_COHN", "KIND_RELATIVE", "KIND_LEAVITT",
     "IBN_CERTIFIED", "IBN_REFUTED", "IBN_UNKNOWN", "IMN_HOLDS", "IMN_UNKNOWN",

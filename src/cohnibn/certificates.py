@@ -6,10 +6,23 @@ linear functional Gamma(z) = sum z_l * w_l.  Gamma is then constant on
 equivalence classes, and Gamma(m * rho) = m for the all-ones vector rho,
 which separates distinct multiples of rho and so certifies IBN.
 
-Everything here runs over arbitrary-precision fractions; there is no
-floating point in this module.  Elimination uses a fixed pivoting rule
-(leftmost nonzero column, topmost row) and sets free variables to zero,
-so results are deterministic.
+The weight system is {sum w = 1, R . w = 0} over the relation rows R,
+one row e_g - add per rule.  It has a solution exactly when rho lies
+outside the rational span of R, and that question is answered by the same
+integer echelon that computes the order of [1] in K0
+(``lattice.separating_functional``).  The answer is the unique solution
+that vanishes off the pivot columns of the stacked matrix [rho; R]:
+
+- A column of a matrix is a pivot exactly when it is not in the span of
+  the columns to its left.  That does not depend on row order, so any
+  elimination that sets free variables to zero picks this same solution.
+- Those pivots are R's pivots plus the first column q at which rho,
+  reduced by R's echelon basis, keeps a nonzero remainder: up to column
+  q the prefix of rho lies in the row span of R's prefix, and from q on
+  it does not.  q is the free column ``separating_functional`` sets to 1,
+  and it sets the other free columns to 0.
+
+There is no floating point in this module.
 """
 
 from __future__ import annotations
@@ -21,23 +34,10 @@ from typing import TYPE_CHECKING, Sequence
 from .construct import companion_incidence
 from .errors import LengthMismatchError
 from .graphs import IncidenceMatrix
+from .lattice import echelon_basis, separating_functional
 
 if TYPE_CHECKING:
     from .rewriting import RewriteSystem
-
-
-@dataclass(frozen=True)
-class CertificateSystem:
-    """The linear system whose solutions are weight certificates.
-
-    Row 0 asks the weights to sum to 1; row i (1 <= i <= T) asks the
-    weight of the i-th regular generator to equal the weighted sum of its
-    incidence row, written as (row_i - e_i) . w = 0.
-    """
-
-    matrix: tuple[tuple[Fraction, ...], ...]
-    target: tuple[Fraction, ...]
-    generators: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -46,75 +46,23 @@ class WeightCertificate:
     generators: tuple[str, ...]
 
 
-def build_system(matrix: IncidenceMatrix) -> CertificateSystem:
-    n = matrix.size
-    t = matrix.num_regular
-    rows: list[tuple[Fraction, ...]] = [tuple(Fraction(1) for _ in range(n))]
-    for i in range(t):
-        row = [Fraction(int(a)) for a in matrix.entries[i]]
-        row[i] -= 1
-        rows.append(tuple(row))
-    target = tuple(Fraction(1) if i == 0 else Fraction(0) for i in range(t + 1))
-    return CertificateSystem(matrix=tuple(rows), target=target, generators=matrix.order)
+def solve_exact(rs: "RewriteSystem") -> WeightCertificate | None:
+    """The weight certificate of a rewrite system, or None if none exists.
 
-
-def _eliminate(rows: list[list[Fraction]], width: int) -> list[tuple[int, int]]:
-    """In-place forward elimination; returns (row, column) pivot pairs.
-
-    Only the first ``width`` columns are eligible as pivots, so an
-    augmented column can ride along untouched.
+    ``separating_functional`` on the relation rows and rho returns (w, 0)
+    exactly when rho is outside their rational span; w then vanishes on
+    every row, and w / (w . rho) is the certificate.  A system with no
+    rules gets weight 1 on its first generator.
     """
-    pivots: list[tuple[int, int]] = []
-    pivot_row = 0
-    for col in range(width):
-        found = None
-        for r in range(pivot_row, len(rows)):
-            if rows[r][col] != 0:
-                found = r
-                break
-        if found is None:
-            continue
-        if found != pivot_row:
-            rows[pivot_row], rows[found] = rows[found], rows[pivot_row]
-        lead = rows[pivot_row][col]
-        for r in range(pivot_row + 1, len(rows)):
-            factor = rows[r][col]
-            if factor == 0:
-                continue
-            ratio = factor / lead
-            for c in range(col, len(rows[r])):
-                rows[r][c] -= ratio * rows[pivot_row][c]
-        pivots.append((pivot_row, col))
-        pivot_row += 1
-    return pivots
-
-
-def rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    if not rows:
-        return 0
-    work = [list(r) for r in rows]
-    return len(_eliminate(work, len(work[0])))
-
-
-def solve_exact(system: CertificateSystem) -> WeightCertificate | None:
-    """Solve the system exactly, or return None if it is inconsistent.
-
-    When underdetermined, free variables are set to zero, so the result
-    is a fixed function of the system.
-    """
-    width = len(system.generators)
-    work = [list(row) + [system.target[i]] for i, row in enumerate(system.matrix)]
-    pivots = _eliminate(work, width)
-    for r in range(len(pivots), len(work)):
-        if work[r][width] != 0:
-            return None
-    weights = [Fraction(0)] * width
-    for r, c in reversed(pivots):
-        acc = work[r][width]
-        for c2 in range(c + 1, width):
-            acc -= work[r][c2] * weights[c2]
-        weights[c] = acc / work[r][c]
-    return WeightCertificate(weights=tuple(weights), generators=system.generators)
+    found = separating_functional(rs.relation_rows(), (1,) * rs.num_generators)
+    if found is None or found[1]:
+        return None
+    w = found[0]
+    total = sum(w)
+    return WeightCertificate(
+        weights=tuple(Fraction(a, total) for a in w),
+        generators=tuple(rs.generators),
+    )
 
 
 def gamma(cert: WeightCertificate, elem: Sequence[int]) -> Fraction:
@@ -151,19 +99,20 @@ def verify_certificate(cert: WeightCertificate, rs: "RewriteSystem") -> bool:
 def companion_rank_check(matrix: IncidenceMatrix) -> bool:
     """Verify the rank argument that makes companion systems solvable.
 
-    Builds the weight system of the full companion of ``matrix``, checks
-    its rank is exactly t+1, then redoes the column reduction that
-    explains why: subtracting column i from column n+i leaves unit
-    columns in the duplicated block, so the last t+1 columns are
-    independent.
+    Builds the weight system of the full companion of ``matrix`` over the
+    integers, checks its rank is exactly t+1, then redoes the column
+    reduction that explains why: subtracting column i from column n+i
+    leaves unit columns in the duplicated block, so the last t+1 columns
+    are independent.  Ranks are the lengths of echelon bases.
     """
     n = matrix.size
     t = matrix.num_regular
     if n == 0:
         return False
-    system = build_system(companion_incidence(matrix))
-    rows = [list(r) for r in system.matrix]
-    if len(_eliminate([r[:] for r in rows], n + t)) != t + 1:
+    rows = [[1] * (n + t)] + companion_incidence(matrix).entries[:t].tolist()
+    for i in range(t):
+        rows[i + 1][i] -= 1
+    if len(echelon_basis(rows)) != t + 1:
         return False
     reduced = [r[:] for r in rows]
     for j in range(t):
@@ -175,7 +124,7 @@ def companion_rank_check(matrix: IncidenceMatrix) -> bool:
             if reduced[r][n + j] != expected:
                 return False
     block = [[reduced[r][c] for c in range(n - 1, n + t)] for r in range(t + 1)]
-    return rational_rank(block) == t + 1
+    return len(echelon_basis(block)) == t + 1
 
 
 def serialize_weights(cert: WeightCertificate) -> tuple[str, ...]:

@@ -17,12 +17,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .certificates import (
-    build_system,
-    gamma,
-    serialize_weights,
-    solve_exact,
-)
+from .certificates import gamma, serialize_weights, solve_exact
 from .construct import family, relative_companion
 from .decision import (
     AlgebraSpec,
@@ -346,9 +341,8 @@ def _cmd_monoid_equiv(ns) -> int:
         rs = cohn_presentation(graph)
         invariant = None
     else:
-        matrix = incidence(graph)
-        rs = monoid_presentation(matrix)
-        invariant = solve_exact(build_system(matrix))
+        rs = monoid_presentation(incidence(graph))
+        invariant = solve_exact(rs)
 
     vec_a = _parse_vector(ns.vec_a)
     vec_b = _parse_vector(ns.vec_b)

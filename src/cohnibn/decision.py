@@ -15,12 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .certificates import (
-    WeightCertificate,
-    build_system,
-    solve_exact,
-    verify_certificate,
-)
+from .certificates import WeightCertificate, solve_exact, verify_certificate
 from .construct import cohn_companion, relative_companion
 from .errors import CohnIbnError, InternalInvariantViolation, OutOfRangeError
 from .graphs import Graph, incidence, validate
@@ -89,16 +84,6 @@ def resolve_target(spec: AlgebraSpec) -> Graph:
     return graph
 
 
-def _relation_rows(rs: RewriteSystem) -> list[list[int]]:
-    """Row e_g - add per rule: the change one firing of the rule undoes."""
-    rows = []
-    for gen, add in rs.rules():
-        row = [-a for a in add]
-        row[gen] += 1
-        rows.append(row)
-    return rows
-
-
 def decide_ibn(
     spec: AlgebraSpec,
     bounds: SearchBounds | None = None,
@@ -121,8 +106,7 @@ def decide_ibn(
         raise OutOfRangeError(f"max_m must be at least 2, got {max_m}")
     bounds = bounds or SearchBounds()
     target = resolve_target(spec)
-    matrix = incidence(target)
-    rs = monoid_presentation(matrix)
+    rs = monoid_presentation(incidence(target))
     notes: list[str] = [
         f"target graph: {len(target.vertices)} vertices, {len(target.edges)} edges",
         f"presentation: {rs.num_generators} generators, {rs.num_rules} rules",
@@ -142,7 +126,7 @@ def decide_ibn(
             notes=tuple(notes),
         )
 
-    cert = solve_exact(build_system(matrix))
+    cert = solve_exact(rs)
     if cert is not None:
         if not verify_certificate(cert, rs):
             raise InternalInvariantViolation(
@@ -159,7 +143,7 @@ def decide_ibn(
         )
 
     rho = (1,) * rs.num_generators
-    torsion = torsion_order(_relation_rows(rs), rho)
+    torsion = torsion_order(rs.relation_rows(), rho)
     if torsion is None:
         raise InternalInvariantViolation(
             "weight system inconsistent, yet [1] has infinite order in K0"

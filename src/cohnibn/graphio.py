@@ -56,14 +56,26 @@ def parse_graph_json(text: str) -> Graph:
     if not isinstance(data, dict):
         raise GraphParseError("top-level value must be an object")
     try:
-        vertices = [str(v) for v in data["vertices"]]
+        vertices, edges = data["vertices"], data.get("edges", [])
+        if not (isinstance(vertices, list) and isinstance(edges, list)):
+            raise TypeError("vertices and edges must be arrays")
+        vertices = [_json_name(v) for v in vertices]
         edges = [
-            Edge(str(e["name"]), str(e["from"]), str(e["to"]))
-            for e in data.get("edges", [])
+            Edge(_json_name(e["name"]), _json_name(e["from"]), _json_name(e["to"]))
+            for e in edges
         ]
     except (KeyError, TypeError) as exc:
         raise GraphParseError(f"malformed graph object: {exc}") from exc
     return Graph(tuple(vertices), tuple(edges))
+
+
+def _json_name(value) -> str:
+    """A JSON name must be a string the text format can carry."""
+    if not isinstance(value, str):
+        raise GraphParseError(f"name must be a string, got {type(value).__name__}")
+    if not _NAME_RE.match(value):
+        raise GraphParseError(f"name {value!r} is not of the form {NAME_PATTERN}")
+    return value
 
 
 def parse_graph(text: str) -> Graph:

@@ -81,6 +81,13 @@ class RewriteSystem:
         for k in range(self.num_rules):
             yield int(self.rule_index[k]), tuple(self.rule_add[k].tolist())
 
+    def relation_rows(self) -> list[list[int]]:
+        """Row e_g - add per rule: the change one firing of the rule undoes."""
+        rows = (-self.rule_add).tolist()
+        for row, gen in zip(rows, self.rule_index.tolist()):
+            row[gen] += 1
+        return rows
+
 
 # The search stores states as int64.  A state's total is at most the
 # larger of its root's total and max_total_coefficient, and one firing adds

@@ -21,7 +21,6 @@ from cohnibn import (
     NOT_EQUIVALENT,
     SearchBounds,
     audit,
-    build_system,
     cohn_companion,
     cohn_presentation,
     companion_rank_check,
@@ -122,7 +121,7 @@ def test_criterion_04_normal_forms():
 def test_criterion_05_parity_reductions_in_companion_of_rose_two():
     matrix = incidence(f_rose_two())
     rs = monoid_presentation(matrix)
-    cert = solve_exact(build_system(matrix))
+    cert = solve_exact(rs)
     for m in range(2, 11, 2):
         out = decide_equivalent((m, m), (m // 2, 0), rs, ACCEPT_BOUNDS)
         assert out.status == EQUIVALENT, m
@@ -177,7 +176,7 @@ def test_criterion_08_gamma_invariance_suite():
     while triples < 1000:
         g = seeds.pop() if seeds else make_random_graph(rng)
         matrix = incidence(cohn_companion(g).graph)
-        cert = solve_exact(build_system(matrix))
+        cert = solve_exact(monoid_presentation(matrix))
         assert cert is not None
         rs = monoid_presentation(matrix)
         for _ in range(20):
@@ -204,7 +203,7 @@ def test_criterion_09_mutual_exclusion_and_gamma_vs_search():
     checked = 0
     for name, graph, _ in corpus_graphs():
         matrix = incidence(graph)
-        cert = solve_exact(build_system(matrix))
+        cert = solve_exact(monoid_presentation(matrix))
         if cert is None:
             continue
         rs = monoid_presentation(matrix)

@@ -7,7 +7,8 @@ import pytest
 
 from cohnibn import (
     WeightCertificate,
-    build_system,
+    classify,
+    cohn_companion,
     companion_incidence,
     companion_rank_check,
     f_line_graph,
@@ -17,7 +18,7 @@ from cohnibn import (
     incidence,
     monoid_presentation,
     parse_weights,
-    rational_rank,
+    relative_companion,
     rose_two,
     serialize_weights,
     solve_exact,
@@ -30,40 +31,87 @@ from conftest import make_random_graph
 F = Fraction
 
 
-def test_build_system_of_companion_rose_two():
-    system = build_system(incidence(f_rose_two()))
-    assert system.generators == ("v", "v'")
-    assert system.matrix == ((F(1), F(1)), (F(1), F(2)))
-    assert system.target == (F(1), F(0))
+def reference_weights(matrix):
+    """Reference solve of the weight system by Fraction elimination.
+
+    Row 0 asks the weights to sum to 1 and row 1 + i asks (A_i - e_i) . w
+    = 0 for the i-th regular vertex.  Forward elimination pivots on the
+    leftmost nonzero column and topmost row; free variables are set to
+    zero.  Returns the weights, or None when the system is inconsistent.
+    """
+    n = matrix.size
+    rows = [[F(1)] * n + [F(1)]]
+    for i in range(matrix.num_regular):
+        row = [F(int(a)) for a in matrix.entries[i]] + [F(0)]
+        row[i] -= 1
+        rows.append(row)
+    pivots = []
+    for col in range(n):
+        top = len(pivots)
+        found = next((r for r in range(top, len(rows)) if rows[r][col]), None)
+        if found is None:
+            continue
+        rows[top], rows[found] = rows[found], rows[top]
+        for r in range(top + 1, len(rows)):
+            ratio = rows[r][col] / rows[top][col]
+            if ratio:
+                rows[r] = [a - ratio * b for a, b in zip(rows[r], rows[top])]
+        pivots.append((top, col))
+    if any(row[n] for row in rows[len(pivots):]):
+        return None
+    weights = [F(0)] * n
+    for r, c in reversed(pivots):
+        acc = rows[r][n] - sum(rows[r][k] * weights[k] for k in range(c + 1, n))
+        weights[c] = acc / rows[r][c]
+    return tuple(weights)
 
 
-def test_build_system_shapes_without_companion_structure():
-    system = build_system(incidence(rose_two()))
-    assert system.matrix == ((F(1),), (F(1),))
-    assert system.target == (F(1), F(0))
+def _solved_weights(matrix):
+    cert = solve_exact(monoid_presentation(matrix))
+    return None if cert is None else cert.weights
 
-    sinks_only = build_system(incidence(validate(graph_from(["a", "b"]))))
-    assert sinks_only.matrix == ((F(1), F(1)),)
-    assert sinks_only.target == (F(1),)
+
+def test_solve_exact_matches_the_reference_elimination():
+    rng = random.Random(53)
+    graphs = [
+        validate(graph_from(["a", "b", "c"])),
+        validate(graph_from(["v"])),
+        validate(graph_from(["v"], [("e", "v", "v")])),
+    ]
+    graphs += [make_random_graph(rng) for _ in range(200)]
+    solved = 0
+    for g in graphs:
+        regular = classify(g).regular
+        x = [v for v in regular if rng.random() < 0.5]
+        for target in (
+            g,
+            cohn_companion(g).graph,
+            relative_companion(g, x).graph,
+        ):
+            matrix = incidence(target)
+            expected = reference_weights(matrix)
+            assert _solved_weights(matrix) == expected, (g, x)
+            solved += expected is not None
+    assert solved >= 400
 
 
 def test_solve_exact_companion_rose_two():
-    cert = solve_exact(build_system(incidence(f_rose_two())))
+    cert = solve_exact(monoid_presentation(incidence(f_rose_two())))
     assert cert.weights == (F(2), F(-1))
     assert cert.generators == ("v", "v'")
 
 
 def test_solve_exact_inconsistent_returns_none():
-    assert solve_exact(build_system(incidence(rose_two()))) is None
+    assert solve_exact(monoid_presentation(incidence(rose_two()))) is None
 
 
 def test_solve_exact_sets_free_variables_to_zero():
-    cert = solve_exact(build_system(incidence(f_line_graph())))
+    cert = solve_exact(monoid_presentation(incidence(f_line_graph())))
     third = F(1, 3)
     assert cert.weights == (third, third, third, F(0), F(0))
 
     two_sinks = validate(graph_from(["a", "b"]))
-    cert2 = solve_exact(build_system(incidence(two_sinks)))
+    cert2 = solve_exact(monoid_presentation(incidence(two_sinks)))
     assert cert2.weights == (F(1), F(0))
 
 
@@ -79,14 +127,14 @@ def test_gamma_is_linear_and_checked():
 
 def test_verify_certificate_accepts_true_certificates():
     matrix = incidence(f_rose_two())
-    cert = solve_exact(build_system(matrix))
+    cert = solve_exact(monoid_presentation(matrix))
     assert verify_certificate(cert, monoid_presentation(matrix))
 
 
 def test_verify_certificate_rejects_tampering():
     matrix = incidence(f_rose_two())
     rs = monoid_presentation(matrix)
-    good = solve_exact(build_system(matrix))
+    good = solve_exact(rs)
 
     wrong_weight = WeightCertificate(weights=(F(2), F(1)), generators=good.generators)
     assert not verify_certificate(wrong_weight, rs)
@@ -106,20 +154,12 @@ def test_verify_certificate_rejects_tampering():
     assert not verify_certificate(right_sum_wrong_rule, rs)
 
 
-def test_rational_rank_small_matrices():
-    assert rational_rank([]) == 0
-    assert rational_rank([[F(0), F(0)]]) == 0
-    assert rational_rank([[F(1), F(0)], [F(0), F(1)]]) == 2
-    assert rational_rank([[F(1), F(2)], [F(2), F(4)]]) == 1
-    assert rational_rank([[F(1, 3), F(1)], [F(1), F(3)], [F(0), F(1)]]) == 2
-
-
 def test_companion_system_solvable_on_random_graphs():
     rng = random.Random(31)
     for _ in range(40):
         g = make_random_graph(rng)
         matrix = incidence(g)
-        cert = solve_exact(build_system(companion_incidence(matrix)))
+        cert = solve_exact(monoid_presentation(companion_incidence(matrix)))
         assert cert is not None
         comp_rs = monoid_presentation(companion_incidence(matrix))
         assert verify_certificate(cert, comp_rs)
@@ -128,7 +168,7 @@ def test_companion_system_solvable_on_random_graphs():
 
 def test_edgeless_graph_certificate_and_rank():
     matrix = incidence(validate(graph_from(["a", "b"])))
-    cert = solve_exact(build_system(matrix))
+    cert = solve_exact(monoid_presentation(matrix))
     assert verify_certificate(cert, monoid_presentation(matrix))
     assert companion_rank_check(matrix)
 
@@ -161,7 +201,7 @@ def test_parse_weights_checks_length():
 
 
 def test_certificate_separates_multiples_of_rho():
-    cert = solve_exact(build_system(incidence(f_rose_two())))
+    cert = solve_exact(monoid_presentation(incidence(f_rose_two())))
     rho = (1, 1)
     values = {gamma(cert, tuple(m * c for c in rho)) for m in range(1, 11)}
     assert values == {F(m) for m in range(1, 11)}

@@ -17,6 +17,7 @@ from cohnibn import (
     emit_graph_json,
     emit_graph_text,
     graph_as_dict,
+    graph_from,
     incidence,
     line_graph,
     load_example,
@@ -94,7 +95,7 @@ def test_text_round_trip_on_corpus(corpus):
 
 
 def test_emit_text_rejects_unrepresentable_names():
-    bad = validate(parse_graph_json('{"vertices": ["a b"], "edges": []}'))
+    bad = validate(graph_from(["a b"]))
     with pytest.raises(ValueError):
         emit_graph_text(bad)
 
@@ -194,6 +195,29 @@ def test_cli_deeply_nested_json_is_an_input_error(cli, tmp_path):
     assert code == EXIT_INPUT
     assert out == "" and "nested too deeply" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text, algebra",
+    [
+        ('{"vertices": [[1], null, 2.5], '
+         '"edges": [{"name": 1, "from": [1], "to": null}]}', "leavitt"),
+        ('{"vertices": ["a b", "c"], "edges": []}', "cohn"),
+        ('{"vertices": "abc"}', "leavitt"),
+    ],
+)
+def test_cli_json_names_must_be_text_format_names(cli, tmp_path, text, algebra):
+    # JSON names are held to the text format's names, so a file that
+    # ibn-check accepts can always be emitted by companion.
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    for argv in (["ibn-check", str(path), "--algebra", algebra],
+                 ["companion", str(path)]):
+        code, out, err = cli(argv)
+        assert code == EXIT_INPUT, argv
+        assert out == "" and "Traceback" not in err
+    with pytest.raises(GraphParseError):
+        parse_graph_json(text)
 
 
 def test_cli_requires_exactly_one_source(cli):

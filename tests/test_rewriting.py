@@ -16,7 +16,6 @@ from cohnibn import (
     UNKNOWN,
     ZeroElementError,
     as_vector,
-    build_system,
     check_lattice_separation,
     cohn_presentation,
     decide_equivalent,
@@ -228,7 +227,7 @@ def test_decide_equivalent_disjoint_complete_closures():
 def test_decide_equivalent_gamma_short_circuit():
     matrix = incidence(f_rose_two())
     rs = monoid_presentation(matrix)
-    cert = solve_exact(build_system(matrix))
+    cert = solve_exact(rs)
     out = decide_equivalent((1, 0), (2, 0), rs, invariant=cert)
     assert out.status == NOT_EQUIVALENT
     assert out.reason == "gamma-separation"
@@ -238,7 +237,7 @@ def test_decide_equivalent_gamma_short_circuit():
 def test_decide_equivalent_equal_gamma_does_not_prove_equivalence():
     matrix = incidence(f_rose_two())
     rs = monoid_presentation(matrix)
-    cert = solve_exact(build_system(matrix))
+    cert = solve_exact(rs)
     # (2, 8) and (0, 4) share the weight -4 yet lie in distinct classes;
     # equal weights must not short-circuit, so the search runs and ends
     # inconclusive (one side is an infinite chain).
