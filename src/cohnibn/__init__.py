@@ -4,9 +4,10 @@ The package models finite directed graphs, their graph monoids, and the
 companion constructions that turn questions about relative Cohn path
 algebras into questions about Leavitt path algebras.  It decides IBN by
 solving the weight system with K0's integer echelon and, when no
-certificate exists, from the finite order of [1] in K0: a bounded
-confluence search over the pairs that order allows, then a witness built
-from the torsion relation.
+certificate exists, from the finite order k0 of [1] in K0: the least
+witness rho ~ (1 + k0)*rho is built from the torsion relation, and a
+bounded confluence search over the pairs k0 allows remains only as the
+fallback for rank-deficient relation rows.
 """
 
 from __future__ import annotations

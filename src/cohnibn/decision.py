@@ -4,9 +4,10 @@ Each algebra kind reduces to a single target graph: the full companion
 for a Cohn algebra, the relative companion for a relative one, the graph
 itself for a Leavitt algebra.  IBN of the algebra is then IBN of the
 target's Leavitt path algebra, decided on the target's graph monoid:
-a verified weight certificate certifies it, a replayable scalar witness
-on the all-ones vector refutes it, and without either (only when the
-witness would break a bound) it is left open.
+a verified weight certificate certifies it; otherwise [1] has finite
+order k0 in K0, and the torsion relation builds the least scalar witness
+rho ~ (1 + k0)*rho, a replayable refutation.  It is left open only when
+that witness breaks a bound.
 Verdicts always carry their evidence, and audit() re-checks that
 evidence from scratch.
 """
@@ -19,7 +20,7 @@ from .certificates import WeightCertificate, solve_exact, verify_certificate
 from .construct import cohn_companion, relative_companion
 from .errors import CohnIbnError, InternalInvariantViolation, OutOfRangeError
 from .graphs import Graph, incidence, validate
-from .lattice import torsion_order
+from .lattice import echelon_basis, torsion_order
 from .rewriting import (
     DEFAULT_MAX_M,
     ReductionTrace,
@@ -92,11 +93,15 @@ def decide_ibn(
     """Decide IBN for the algebra: certificate first, then a witness.
 
     With no certificate, the order k0 of [1] in K0 is finite, and only
-    pairs m < m' <= max_m with k0 | m' - m can be equivalent.  They are
-    searched in order, so a witness found is the least pair; if the search
-    finds none, a witness is built from the torsion relation instead.  It
-    is reported only within the bounds; otherwise the verdict is unknown
-    and its notes name the bound to raise.
+    pairs m < m' with k0 | m' - m can be equivalent.  If k0 >= max_m no
+    pair is in range.  Otherwise the witness rho ~ (1 + k0)*rho, the least
+    pair, is built from the torsion relation without a search.  Where it
+    breaks max_total_coefficient or max_depth and the relation rows have
+    full rank, every witness of every pair fires the relation at least
+    once, so none fits and the verdict is unknown with no search.  Only
+    rank-deficient rows fall back to searching the pairs, least first,
+    within all the bounds.  An unknown verdict's notes name the bound to
+    raise.
 
     The certificate route is complete for the Cohn kind, so failure there
     raises InternalInvariantViolation rather than producing a verdict.
@@ -157,37 +162,50 @@ def decide_ibn(
         )
         return verdict(IBN_UNKNOWN, "torsion-bound")
 
-    witness = find_scalar_witness(rho, rs, max_m, bounds, step=k0)
+    built = construct_scalar_witness(rs, k0, relation, max_m, bounds)
+    witness = built.witness
     if witness is not None:
-        route = "witness-search"
-        notes.append(
-            f"witness search: {witness.m}*rho ~ {witness.m_prime}*rho "
-            f"with common descendant"
-        )
-    else:
-        notes.append(
-            f"witness search: no pair m < m' <= max_m={max_m} with "
-            f"k0 | m' - m joined within bounds"
-        )
-        built = construct_scalar_witness(rs, k0, relation, max_m, bounds)
-        witness = built.witness
-        if witness is None:
-            limits = {
-                "max_m": ("--max-m", max_m),
-                "max_total_coefficient": ("--max-coeff", bounds.max_total_coefficient),
-                "max_depth": ("--max-depth", bounds.max_depth),
-            }
-            for name, value in built.needs:
-                flag, limit = limits[name]
-                notes.append(
-                    f"constructed witness breaks {flag}={limit}: "
-                    f"raise {flag} to {value}"
-                )
-            return verdict(IBN_UNKNOWN, "exhausted")
         route = "witness-construction"
         notes.append(
             f"witness construction: {witness.m}*rho ~ {witness.m_prime}*rho "
             f"from the torsion relation"
+        )
+    else:
+        # k0 < max_m, so only these two bounds can break.
+        limits = {
+            "max_total_coefficient": ("--max-coeff", bounds.max_total_coefficient),
+            "max_depth": ("--max-depth", bounds.max_depth),
+        }
+        breaks = []
+        for name, value in built.needs:
+            flag, limit = limits[name]
+            breaks.append(
+                f"constructed witness breaks {flag}={limit}: "
+                f"raise {flag} to {value}"
+            )
+        # With full-rank rows, a witness of any pair fires j*lam^- + s and
+        # j*lam^+ + s for some j >= 1 and s >= 0, and no firing lowers a
+        # total: none is shallower or has a lower peak than this one.
+        if len(echelon_basis(rs.relation_rows())) == rs.num_rules:
+            notes.extend(breaks)
+            notes.append(
+                "relation rows have full rank, so every witness fires the "
+                "torsion relation at least once: no witness of any pair fits "
+                "these bounds"
+            )
+            return verdict(IBN_UNKNOWN, "exhausted")
+        witness = find_scalar_witness(rho, rs, max_m, bounds, step=k0)
+        if witness is None:
+            notes.append(
+                f"witness search: no pair m < m' <= max_m={max_m} with "
+                f"k0 | m' - m joined within bounds"
+            )
+            notes.extend(breaks)
+            return verdict(IBN_UNKNOWN, "exhausted")
+        route = "witness-search"
+        notes.append(
+            f"witness search: {witness.m}*rho ~ {witness.m_prime}*rho "
+            f"with common descendant"
         )
     notes.append(
         f"R^{witness.m} ~ R^{witness.m_prime} also refutes IMN: "

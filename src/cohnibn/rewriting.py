@@ -756,16 +756,19 @@ def construct_scalar_witness(
     max_m: int = DEFAULT_MAX_M,
     bounds: SearchBounds | None = None,
 ) -> Construction:
-    """A witness c*rho ~ (c+order)*rho from order*rho = sum_k relation[k]*r_k.
+    """The witness rho ~ (1+order)*rho from order*rho = sum_k relation[k]*r_k.
 
     r_k is the relation row of rule k (a unit at its generator minus its
     replacement), so firing rule k subtracts r_k.  Firing rule k
-    max(0, -relation[k]) times from c*rho and max(0, relation[k]) times
-    from (c+order)*rho ends both sides at the same vector.  The least c
-    for which both firings complete is taken; it exists, since c at least
-    every count always completes.  The witness is returned only if
-    c + order <= max_m, every vector on both traces has total at most
-    max_total_coefficient, and each trace has at most max_depth steps;
+    max(0, -relation[k]) times from rho and max(0, relation[k]) times from
+    (1+order)*rho ends both sides at the same vector z, and z >= rho: at
+    the generator of a rule with relation[k] < 0 the relation puts z at
+    1 + order plus an inflow, and elsewhere firings only add.  Both starts
+    hold every generator and z >= 0, so both firings complete (a stuck
+    firing raises InternalInvariantViolation).  As order divides m' - m for
+    every equivalent pair, (1, 1+order) is the least one.  It is returned
+    only if 1 + order <= max_m, every vector on both traces has total at
+    most max_total_coefficient, and each trace has at most max_depth steps;
     otherwise the broken bounds are returned with the values needed.
     """
     if len(relation) != rs.num_rules:
@@ -780,25 +783,22 @@ def construct_scalar_witness(
     if depth > bounds.max_depth:
         return Construction(witness=None, needs=(("max_depth", depth),))
     rho = (1,) * rs.num_generators
-    c = 1
-    while True:
-        trace_a = fire_greedily(scale(rho, c), fire_a, rs)
-        trace_b = fire_greedily(scale(rho, c + order), fire_b, rs)
-        if trace_a is not None and trace_b is not None:
-            break
-        c += 1
+    trace_a = fire_greedily(rho, fire_a, rs)
+    trace_b = fire_greedily(scale(rho, 1 + order), fire_b, rs)
+    if trace_a is None or trace_b is None:
+        raise InternalInvariantViolation(
+            "the torsion relation cannot be fired from rho and (1+order)*rho"
+        )
     if trace_a.end != trace_b.end:
         raise InternalInvariantViolation(
-            "the torsion relation does not join c*rho and (c+order)*rho"
+            "the torsion relation does not join rho and (1+order)*rho"
         )
     needs = []
-    if c + order > max_m:
-        needs.append(("max_m", c + order))
-    peak = max(
-        sum(vec)
-        for trace in (trace_a, trace_b)
-        for vec in (trace.start, *(v for _, v in trace.steps))
-    )
+    if 1 + order > max_m:
+        needs.append(("max_m", 1 + order))
+    # Every replacement is nonzero, so no firing lowers a total: both
+    # traces peak at their common end.
+    peak = sum(trace_a.end)
     if peak > bounds.max_total_coefficient:
         needs.append(("max_total_coefficient", peak))
     if needs:
@@ -806,8 +806,8 @@ def construct_scalar_witness(
     return Construction(
         witness=ScalarWitness(
             base=rho,
-            m=c,
-            m_prime=c + order,
+            m=1,
+            m_prime=1 + order,
             descendant=trace_a.end,
             trace_a=trace_a,
             trace_b=trace_b,

@@ -27,16 +27,23 @@ from cohnibn import (
     WeightCertificate,
     audit,
     cohn_companion,
+    construct_scalar_witness,
     decide_ibn,
     decide_imn,
     family,
+    find_scalar_witness,
     graph_from,
+    incidence,
     line_graph,
+    monoid_presentation,
     relative_companion,
     resolve_target,
     rose_two,
     serialize_weights,
+    solve_exact,
+    torsion_order,
 )
+from cohnibn.lattice import echelon_basis
 from conftest import make_random_graph
 
 
@@ -79,7 +86,7 @@ def test_leavitt_rose_two_is_refuted():
     verdict = decide_imn(decide_ibn(spec))
     assert verdict.ibn == IBN_REFUTED
     assert verdict.imn == IMN_UNKNOWN
-    assert verdict.route == "witness-search"
+    assert verdict.route == "witness-construction"
     w = verdict.witness
     assert (w.m, w.m_prime) == (1, 2)
     assert w.trace_a.start == (1,) and w.trace_a.steps == ((0, (2,)),)
@@ -239,11 +246,101 @@ def test_exhausted_names_the_bound_the_construction_broke():
     assert "constructed witness breaks --max-coeff=1: raise --max-coeff to 2" in verdict.notes
 
 
-def test_torsion_bound_runs_no_search(monkeypatch):
-    def no_search(*args, **kwargs):
-        raise AssertionError("the witness search must not run")
+# u has two loops and feeds v twice; v and w feed each other.  The rows of
+# v and w cancel, so the relation rows have rank 2 of 3, and k0 = 1 with
+# rho = -r_u - r_v: the construction fires twice from rho.
+_DEFICIENT = graph_from(
+    ["u", "v", "w"],
+    [("a", "u", "u"), ("b", "u", "u"), ("c", "u", "v"), ("d", "u", "v"),
+     ("e", "v", "w"), ("f", "w", "v")],
+)
 
-    monkeypatch.setattr(cohnibn.decision, "find_scalar_witness", no_search)
+
+def _no_search(*args, **kwargs):
+    raise AssertionError("the witness search must not run")
+
+
+def test_full_rank_exhausted_is_a_proof_and_runs_no_search(monkeypatch):
+    monkeypatch.setattr(cohnibn.decision, "find_scalar_witness", _no_search)
+    spec = AlgebraSpec(kind=KIND_LEAVITT, graph=_DEEP)
+    verdict = decide_imn(decide_ibn(spec, SearchBounds(max_depth=3)))
+    assert verdict.ibn == IBN_UNKNOWN and verdict.route == "exhausted"
+    assert "constructed witness breaks --max-depth=3: raise --max-depth to 4" in verdict.notes
+    assert any("no witness of any pair fits these bounds" in n for n in verdict.notes)
+    assert audit(verdict, spec)
+
+
+def test_rank_deficient_rows_fall_back_to_the_search(monkeypatch):
+    calls = []
+    real = cohnibn.decision.find_scalar_witness
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs["step"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cohnibn.decision, "find_scalar_witness", recording)
+    spec = AlgebraSpec(kind=KIND_LEAVITT, graph=_DEFICIENT)
+    verdict = decide_imn(decide_ibn(spec))
+    assert verdict.route == "witness-construction" and calls == []
+    assert verdict.witness.descendant == (2, 2, 2)
+
+    # The construction takes two firings; the search joins rho and 2*rho
+    # in one firing on each side.
+    verdict = decide_imn(decide_ibn(spec, SearchBounds(max_depth=1)))
+    assert calls == [1]
+    assert verdict.ibn == IBN_REFUTED and verdict.route == "witness-search"
+    w = verdict.witness
+    assert (w.m, w.m_prime, w.descendant) == (1, 2, (2, 3, 1))
+    assert not any("no witness of any pair" in n for n in verdict.notes)
+    assert audit(verdict, spec)
+
+    verdict = decide_imn(decide_ibn(spec, SearchBounds(max_total_coefficient=5)))
+    assert calls == [1, 1]
+    assert verdict.ibn == IBN_UNKNOWN and verdict.route == "exhausted"
+    assert "constructed witness breaks --max-coeff=5: raise --max-coeff to 6" in verdict.notes
+    assert not any("no witness of any pair" in n for n in verdict.notes)
+    assert audit(verdict, spec)
+
+
+def test_construction_agrees_with_the_search_it_replaces():
+    # The procedure before the construction came first: search the pairs
+    # k0 allows, and build the witness only where the search found none.
+    rng = random.Random(0)
+    tight = [
+        SearchBounds(max_states=200, max_total_coefficient=16, max_depth=8),
+        SearchBounds(max_states=200, max_depth=2),
+        SearchBounds(max_states=200, max_total_coefficient=10),
+    ]
+    max_m = 6
+    targets = deficient = 0
+    while targets < 300:
+        graph = make_random_graph(rng)
+        rs = monoid_presentation(incidence(graph))
+        if solve_exact(rs) is not None:
+            continue
+        rows = rs.relation_rows()
+        rho = (1,) * rs.num_generators
+        k0, relation = torsion_order(rows, rho)
+        if k0 >= max_m:
+            continue
+        bounds = tight[targets % len(tight)]
+        targets += 1
+        deficient += len(echelon_basis(rows)) < rs.num_rules
+        old = find_scalar_witness(rho, rs, max_m, bounds, step=k0) is not None or (
+            construct_scalar_witness(rs, k0, relation, max_m, bounds).witness
+            is not None
+        )
+        spec = AlgebraSpec(kind=KIND_LEAVITT, graph=graph)
+        verdict = decide_ibn(spec, bounds, max_m)
+        assert verdict.ibn == (IBN_REFUTED if old else IBN_UNKNOWN), graph
+        if verdict.ibn == IBN_REFUTED:
+            assert (verdict.witness.m, verdict.witness.m_prime) == (1, 1 + k0)
+        assert audit(verdict, spec)
+    assert deficient >= 1
+
+
+def test_torsion_bound_runs_no_search(monkeypatch):
+    monkeypatch.setattr(cohnibn.decision, "find_scalar_witness", _no_search)
     for n in (7, 8):
         spec = AlgebraSpec(kind=KIND_LEAVITT, graph=_rose(n))
         verdict = decide_imn(decide_ibn(spec))
@@ -263,8 +360,8 @@ def test_search_tries_only_pairs_the_order_allows(monkeypatch):
         return real(a, b, *args, **kwargs)
 
     monkeypatch.setattr(cohnibn.rewriting, "decide_equivalent", recording)
-    spec = AlgebraSpec(kind=KIND_LEAVITT, graph=_DEEP)
-    decide_ibn(spec, SearchBounds(max_states=1))
+    rs = monoid_presentation(incidence(_DEEP))
+    find_scalar_witness((1, 1), rs, bounds=SearchBounds(max_states=1), step=3)
     assert tried == [(1, 4), (2, 5), (3, 6)]
 
 
@@ -285,6 +382,9 @@ def test_search_skips_pairs_over_the_coefficient_cap(monkeypatch):
 
     monkeypatch.setattr(cohnibn.rewriting, "decide_equivalent", recording)
     bounds = SearchBounds(max_states=1000)
+    rs = monoid_presentation(incidence(graph))
+    k0, _ = torsion_order(rs.relation_rows(), (1,) * rs.num_generators)
+    find_scalar_witness((1,) * rs.num_generators, rs, 400, bounds, step=k0)
     spec = AlgebraSpec(kind=KIND_LEAVITT, graph=graph)
     verdict = decide_imn(decide_ibn(spec, bounds, max_m=400))
     assert roots and max(roots) <= bounds.max_total_coefficient
@@ -308,7 +408,7 @@ def test_every_open_verdict_gives_k0_and_the_flag_to_raise():
             assert any("raise --max-" in n for n in verdict.notes)
         else:
             assert any("also refutes IMN" in n for n in verdict.notes)
-    assert {"certificate", "witness-search", "torsion-bound"} <= routes
+    assert {"certificate", "witness-construction", "torsion-bound"} <= routes
 
 
 def test_decide_ibn_rejects_max_m_below_two():

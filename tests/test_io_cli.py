@@ -1,6 +1,7 @@
 """Graph file parsing/emission and the command-line interface."""
 
 import json
+import os
 import random
 import shutil
 import subprocess
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import cohnibn
 from cohnibn import (
     Edge,
     GraphParseError,
@@ -286,7 +288,7 @@ def test_cli_ibn_check_leavitt_roses(cli, tmp_path):
     for n in range(2, 7):
         code, result = check(n)
         assert code == EXIT_REFUTED
-        assert result["route"] == "witness-search"
+        assert result["route"] == "witness-construction"
         assert (result["witness"]["m"], result["witness"]["m_prime"]) == (1, n)
     for n in (7, 8):
         code, result = check(n)
@@ -323,6 +325,27 @@ def test_cli_ibn_check_x_requires_relative(cli):
         ["ibn-check", "--example", "r2", "--algebra", "cohn", "--x", "v"]
     )
     assert code == EXIT_USAGE
+
+
+def test_cli_ibn_check_huge_bounds_finish(cli):
+    # The witness is built, not searched for, so bounds near 2**62 cost
+    # nothing; a pair search over them would not finish.
+    src = Path(cohnibn.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
+    )}
+    huge = str(2**62)
+    wrapper = "import sys; from cohnibn.cli import main; sys.exit(main())"
+    out = subprocess.run(
+        [sys.executable, "-c", wrapper, "ibn-check", "--example", "r2",
+         "--algebra", "leavitt", "--max-m", huge, "--max-coeff", huge,
+         "--max-states", "1", "--format", "json"],
+        capture_output=True, env=env, timeout=20,
+    )
+    assert out.returncode == EXIT_REFUTED
+    result = json.loads(out.stdout)["result"]
+    assert result["route"] == "witness-construction"
+    assert (result["witness"]["m"], result["witness"]["m_prime"]) == (1, 2)
 
 
 def test_cli_ibn_check_json_report(cli):
