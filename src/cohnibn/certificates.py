@@ -109,7 +109,7 @@ def companion_rank_check(matrix: IncidenceMatrix) -> bool:
     t = matrix.num_regular
     if n == 0:
         return False
-    rows = [[1] * (n + t)] + companion_incidence(matrix).entries[:t].tolist()
+    rows = [[1] * (n + t), *map(list, companion_incidence(matrix).entries[:t])]
     for i in range(t):
         rows[i + 1][i] -= 1
     if len(echelon_basis(rows)) != t + 1:

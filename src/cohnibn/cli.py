@@ -214,7 +214,6 @@ def _cmd_companion(ns) -> int:
     matrix = incidence(companion.graph)
     digest = _digest(graph, x)
 
-    rows = matrix.entries.tolist()
     report = _report(
         command="companion",
         arguments={"x": list(x)},
@@ -225,7 +224,7 @@ def _cmd_companion(ns) -> int:
             "incidence": {
                 "order": list(matrix.order),
                 "num_regular": matrix.num_regular,
-                "rows": rows,
+                "rows": matrix.entries,
             },
             "origin": {
                 "vertices": dict(companion.vertex_origin),
@@ -240,7 +239,7 @@ def _cmd_companion(ns) -> int:
         header.append("x: " + " ".join(x))
     body = emit_graph_text(companion.graph, comments=tuple(header))
     footer = ["# incidence order: " + " ".join(matrix.order)]
-    for name, row in zip(matrix.order, rows):
+    for name, row in zip(matrix.order, matrix.entries):
         footer.append(f"# incidence row {name}: " + " ".join(str(v) for v in row))
     _emit_report(report, ns, body + "\n".join(footer) + "\n")
     return EXIT_OK

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
-
 from .errors import NotRegularError, OutOfRangeError
 from .graphs import Edge, Graph, IncidenceMatrix, classify, graph_from, validate
 
@@ -97,11 +95,9 @@ def companion_incidence(matrix: IncidenceMatrix) -> IncidenceMatrix:
     row_i) and all other rows are zero.  Matches building the companion
     graph and taking its incidence matrix.
     """
-    n = matrix.size
     t = matrix.num_regular
-    block = np.zeros((n + t, n + t), dtype=np.int64)
-    block[:t, :n] = matrix.entries[:t]
-    block[:t, n:] = matrix.entries[:t, :t]
+    zero = (0,) * (matrix.size + t)
+    block = tuple(row + row[:t] for row in matrix.entries[:t])
     taken = set(matrix.order)
     new_names = []
     for v in matrix.order[:t]:
@@ -110,7 +106,7 @@ def companion_incidence(matrix: IncidenceMatrix) -> IncidenceMatrix:
         new_names.append(name)
     return IncidenceMatrix(
         order=matrix.order + tuple(new_names),
-        entries=block,
+        entries=block + (zero,) * matrix.size,
         num_regular=t,
     )
 

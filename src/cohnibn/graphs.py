@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-import numpy as np
-
 from .errors import DanglingEdgeError, DuplicateNameError, EmptyGraphError
 
 
@@ -47,38 +45,22 @@ class VertexClassification:
     sinks: tuple[str, ...]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class IncidenceMatrix:
     """Edge-count matrix in canonical (regular-first) vertex order.
 
-    ``entries[i, j]`` is the number of edges from ``order[i]`` to
+    ``entries[i][j]`` is the number of edges from ``order[i]`` to
     ``order[j]``; the first ``num_regular`` rows are the regular vertices,
     so every row past that is zero.
     """
 
     order: tuple[str, ...]
-    entries: np.ndarray
+    entries: tuple[tuple[int, ...], ...]
     num_regular: int
-
-    def __post_init__(self):
-        entries = np.ascontiguousarray(self.entries, dtype=np.int64)
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
 
     @property
     def size(self) -> int:
         return len(self.order)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, IncidenceMatrix):
-            return NotImplemented
-        return (
-            self.order == other.order
-            and self.num_regular == other.num_regular
-            and np.array_equal(self.entries, other.entries)
-        )
-
-    __hash__ = None  # type: ignore[assignment]
 
 
 def graph_from(
@@ -137,9 +119,10 @@ def incidence(graph: Graph) -> IncidenceMatrix:
     """Edge-count matrix of a validated graph, multiplicities included."""
     order = graph.vertices
     index = {v: i for i, v in enumerate(order)}
-    n = len(order)
-    entries = np.zeros((n, n), dtype=np.int64)
+    regular = classify(graph).regular
+    rows = {v: [0] * len(order) for v in regular}
     for e in graph.edges:
-        entries[index[e.src], index[e.dst]] += 1
-    num_regular = len(classify(graph).regular)
-    return IncidenceMatrix(order=order, entries=entries, num_regular=num_regular)
+        rows[e.src][index[e.dst]] += 1
+    zero = (0,) * len(order)  # one row object shared by every sink
+    entries = tuple(tuple(rows[v]) if v in rows else zero for v in order)
+    return IncidenceMatrix(order=order, entries=entries, num_regular=len(regular))

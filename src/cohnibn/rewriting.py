@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -44,29 +45,22 @@ UNKNOWN = "unknown"
 class RewriteSystem:
     """One-rule-per-generator commutative rewrite system.
 
-    ``rule_index[k]`` is the generator rewritten by rule k and
-    ``rule_add[k]`` its replacement vector (always nonzero).
+    Rule k rewrites generator k: it removes one unit there and adds
+    ``rule_add[k]``, which is always nonzero.  Generators past the last
+    rule are never rewritten.
     """
 
     generators: tuple[str, ...]
-    rule_index: np.ndarray
-    rule_add: np.ndarray
+    rule_add: tuple[Vector, ...]
 
     def __post_init__(self):
-        idx = np.ascontiguousarray(self.rule_index, dtype=np.int64)
-        add = np.ascontiguousarray(self.rule_add, dtype=np.int64)
-        if add.ndim != 2 or add.shape != (idx.shape[0], len(self.generators)):
+        width = len(self.generators)
+        if len(self.rule_add) > width or any(
+            len(add) != width for add in self.rule_add
+        ):
             raise ValueError("rule arrays inconsistent with generator count")
-        if len(set(idx.tolist())) != idx.shape[0]:
-            raise ValueError("rule indices must be distinct")
-        if idx.size and (idx.min() < 0 or idx.max() >= len(self.generators)):
-            raise ValueError("rule index out of range")
-        if idx.size and not (add.sum(axis=1) > 0).all():
-            raise ValueError("replacement vectors must be nonzero")
-        idx.setflags(write=False)
-        add.setflags(write=False)
-        object.__setattr__(self, "rule_index", idx)
-        object.__setattr__(self, "rule_add", add)
+        if not all(min(add) >= 0 and any(add) for add in self.rule_add):
+            raise ValueError("replacement vectors must be nonnegative and nonzero")
 
     @property
     def num_generators(self) -> int:
@@ -74,18 +68,23 @@ class RewriteSystem:
 
     @property
     def num_rules(self) -> int:
-        return int(self.rule_index.shape[0])
+        return len(self.rule_add)
 
     def rules(self) -> Iterable[tuple[int, Vector]]:
-        """Yield (generator index, replacement vector) per rule."""
-        for k in range(self.num_rules):
-            yield int(self.rule_index[k]), tuple(self.rule_add[k].tolist())
+        """Yield (k, rule_add[k]) per rule; rule k rewrites generator k."""
+        return enumerate(self.rule_add)
+
+    def fire(self, vec: Sequence[int], k: int) -> Vector:
+        """vec after one firing of rule k; the caller checks vec[k] >= 1."""
+        out = [c + a for c, a in zip(vec, self.rule_add[k])]
+        out[k] -= 1
+        return tuple(out)
 
     def relation_rows(self) -> list[list[int]]:
-        """Row e_g - add per rule: the change one firing of the rule undoes."""
-        rows = (-self.rule_add).tolist()
-        for row, gen in zip(rows, self.rule_index.tolist()):
-            row[gen] += 1
+        """Row e_k - add_k per rule: the change one firing of rule k undoes."""
+        rows = [[-a for a in add] for add in self.rule_add]
+        for k, row in enumerate(rows):
+            row[k] += 1
         return rows
 
 
@@ -138,20 +137,18 @@ class ReductionTrace:
 
     def replay(self, rs: RewriteSystem) -> Vector:
         """Re-apply every step, raising ValueError on any illegal step."""
-        rules = {int(rs.rule_index[k]): rs.rule_add[k] for k in range(rs.num_rules)}
-        current = np.array(self.start, dtype=np.int64)
-        if current.shape[0] != rs.num_generators:
+        current = tuple(self.start)
+        if len(current) != rs.num_generators:
             raise ValueError("trace start has wrong length")
         for gen, result in self.steps:
-            if gen not in rules:
+            if gen not in range(rs.num_rules):
                 raise ValueError(f"no rule for generator index {gen}")
             if current[gen] < 1:
                 raise ValueError(f"rule at generator {gen} not applicable")
-            current = current + rules[gen]
-            current[gen] -= 1
-            if tuple(current.tolist()) != tuple(result):
+            current = rs.fire(current, gen)
+            if current != tuple(result):
                 raise ValueError("recorded step does not match replay")
-        return tuple(current.tolist())
+        return current
 
 
 @dataclass(frozen=True)
@@ -228,11 +225,8 @@ def monoid_presentation(matrix: IncidenceMatrix) -> RewriteSystem:
     Generators follow the matrix's vertex order; the rule at a regular
     index rewrites a unit there into that vertex's incidence row.
     """
-    t = matrix.num_regular
     return RewriteSystem(
-        generators=matrix.order,
-        rule_index=np.arange(t, dtype=np.int64),
-        rule_add=matrix.entries[:t].copy(),
+        generators=matrix.order, rule_add=matrix.entries[: matrix.num_regular]
     )
 
 
@@ -245,16 +239,12 @@ def cohn_presentation(graph: Graph) -> RewriteSystem:
     """
     matrix = incidence(graph)
     t = matrix.num_regular
-    n = matrix.size
     generators = matrix.order + tuple(f"q_{v}" for v in matrix.order[:t])
-    add = np.zeros((t, n + t), dtype=np.int64)
-    add[:, :n] = matrix.entries[:t]
-    add[np.arange(t), n + np.arange(t)] = 1
-    return RewriteSystem(
-        generators=generators,
-        rule_index=np.arange(t, dtype=np.int64),
-        rule_add=add,
+    add = tuple(
+        row + (0,) * k + (1,) + (0,) * (t - 1 - k)
+        for k, row in enumerate(matrix.entries[:t])
     )
+    return RewriteSystem(generators=generators, rule_add=add)
 
 
 def one_step(elem: Sequence[int], rs: RewriteSystem) -> tuple[Vector, ...]:
@@ -262,30 +252,27 @@ def one_step(elem: Sequence[int], rs: RewriteSystem) -> tuple[Vector, ...]:
     vec = as_vector(elem, rs)
     seen: set[Vector] = set()
     out: list[Vector] = []
-    arr = np.array(vec, dtype=np.int64)
     for k in range(rs.num_rules):
-        gen = int(rs.rule_index[k])
-        if arr[gen] < 1:
+        if vec[k] < 1:
             continue
-        succ = arr + rs.rule_add[k]
-        succ[gen] -= 1
-        tup = tuple(succ.tolist())
-        if tup not in seen:
-            seen.add(tup)
-            out.append(tup)
+        succ = rs.fire(vec, k)
+        if succ not in seen:
+            seen.add(succ)
+            out.append(succ)
     return tuple(out)
 
 
-def expand_frontier(frontier, totals, rule_index, rule_add, rule_dsum, max_total):
+def expand_frontier(frontier, totals, rule_add, rule_dsum, max_total):
     """All one-step successors of a frontier whose total stays within max_total.
 
-    Returns (children, parents, fired, pruned): children[j] is the result of
-    firing rule position fired[j] on frontier row parents[j], in (parent,
-    rule) order; pruned counts applicable firings dropped for exceeding
-    max_total.
+    ``rule_add`` holds one row per rule, rule k rewriting generator k, and
+    ``rule_dsum[k]`` is the change rule k makes to a total.  Returns
+    (children, parents, fired, pruned): children[j] is the result of firing
+    rule fired[j] on frontier row parents[j], in (parent, rule) order;
+    pruned counts applicable firings dropped for exceeding max_total.
     """
     num_rows, width = frontier.shape
-    num_rules = rule_index.shape[0]
+    num_rules = rule_add.shape[0]
     empty = (
         np.empty((0, width), dtype=np.int64),
         np.empty(0, dtype=np.int64),
@@ -299,8 +286,7 @@ def expand_frontier(frontier, totals, rule_index, rule_add, rule_dsum, max_total
     fired_parts = []
     pruned = 0
     for k in range(num_rules):
-        gen = rule_index[k]
-        applicable = frontier[:, gen] > 0
+        applicable = frontier[:, k] > 0
         if not applicable.any():
             continue
         within = totals + rule_dsum[k] <= max_total
@@ -309,7 +295,7 @@ def expand_frontier(frontier, totals, rule_index, rule_add, rule_dsum, max_total
         if keep.size == 0:
             continue
         block = frontier[keep] + rule_add[k]
-        block[:, gen] -= 1
+        block[:, k] -= 1
         children_parts.append(block)
         parent_parts.append(keep)
         fired_parts.append(np.full(keep.size, k, dtype=np.int64))
@@ -355,7 +341,9 @@ class _Side:
     def complete(self) -> bool:
         return not self.truncated and not self.frontier
 
-    def expand(self, rs: RewriteSystem, dsum: np.ndarray, bounds: SearchBounds) -> list[int]:
+    def expand(
+        self, add: np.ndarray, dsum: np.ndarray, bounds: SearchBounds
+    ) -> list[int]:
         """Expand one level; returns ids of states first seen here."""
         frontier_vecs = np.array(
             [self.vectors[i] for i in self.frontier], dtype=np.int64
@@ -366,8 +354,7 @@ class _Side:
         children, parents, fired, pruned = expand_frontier(
             frontier_vecs,
             frontier_totals,
-            rs.rule_index,
-            rs.rule_add,
+            add,
             dsum,
             bounds.max_total_coefficient,
         )
@@ -388,7 +375,7 @@ class _Side:
             self.vectors.append(key)
             self.totals.append(int(frontier_totals[parents[j]] + dsum[fired[j]]))
             self.parent.append(self.frontier[parents[j]])
-            self.fired.append(int(rs.rule_index[fired[j]]))
+            self.fired.append(int(fired[j]))
             new_ids.append(node)
         self.frontier = [] if self.capped else new_ids
         self.depth += 1
@@ -405,10 +392,12 @@ class _Side:
         return ReductionTrace(start=self.vectors[0], steps=steps)
 
 
-def _rule_dsum(rs: RewriteSystem) -> np.ndarray:
-    if rs.num_rules == 0:
-        return np.empty(0, dtype=np.int64)
-    return rs.rule_add.sum(axis=1) - 1
+def _rule_arrays(rs: RewriteSystem) -> tuple[np.ndarray, np.ndarray]:
+    """The rules as one int64 array, and the change each makes to a total."""
+    add = np.array(rs.rule_add, dtype=np.int64).reshape(
+        rs.num_rules, rs.num_generators
+    )
+    return add, add.sum(axis=1) - 1
 
 
 def forward_closure(
@@ -422,9 +411,9 @@ def forward_closure(
     """
     bounds = bounds or SearchBounds()
     side = _Side(as_vector(elem, rs))
-    dsum = _rule_dsum(rs)
+    add, dsum = _rule_arrays(rs)
     while side.can_expand(bounds):
-        side.expand(rs, dsum, bounds)
+        side.expand(add, dsum, bounds)
     return Closure(elements=frozenset(side.vectors), truncated=side.truncated)
 
 
@@ -523,19 +512,20 @@ def check_lattice_separation(
 ) -> bool:
     """Re-verify lattice-separation evidence from a, b and the rules alone.
 
-    The reachable generators are recomputed as a fixed point over the rule
-    arrays, independently of how the evidence was found.
+    The reachable generators are recomputed as a fixed point over the
+    rules, one round over all of them at a time, independently of how the
+    evidence was found.
     """
-    held = (np.asarray(a) > 0) | (np.asarray(b) > 0)
+    held = [x > 0 or y > 0 for x, y in zip(a, b)]
     while True:
-        grown = held.copy()
-        for k in range(rs.num_rules):
-            if held[rs.rule_index[k]]:
-                grown |= rs.rule_add[k] > 0
-        if (grown == held).all():
+        grown = list(held)
+        for k, add in rs.rules():
+            if held[k]:
+                grown = [g or c > 0 for g, c in zip(grown, add)]
+        if grown == held:
             break
         held = grown
-    gens = np.flatnonzero(held).tolist()
+    gens = [i for i, h in enumerate(held) if h]
     d = evidence.modulus
     if (
         tuple(gens) != evidence.generators
@@ -549,13 +539,9 @@ def check_lattice_separation(
         total = sum(w * int(vec[i]) for i, w in weights.items())
         return total % d if d else total
 
-    for k in range(rs.num_rules):
-        gen = int(rs.rule_index[k])
-        if gen in weights:
-            row = [-int(c) for c in rs.rule_add[k]]
-            row[gen] += 1
-            if value(row) != 0:
-                return False
+    for k, row in enumerate(rs.relation_rows()):
+        if k in weights and value(row) != 0:
+            return False
     return value(a) != value(b)
 
 
@@ -589,14 +575,14 @@ def decide_equivalent(
 
     side_a = _Side(va)
     side_b = _Side(vb)
-    dsum = _rule_dsum(rs)
+    add, dsum = _rule_arrays(rs)
 
     while True:
         progressed = False
         for side, other in ((side_a, side_b), (side_b, side_a)):
             if not side.can_expand(bounds):
                 continue
-            new_ids = side.expand(rs, dsum, bounds)
+            new_ids = side.expand(add, dsum, bounds)
             progressed = True
             hits = [n for n in new_ids if side.vectors[n] in other.seen]
             if hits:
@@ -627,15 +613,10 @@ def normal_form(elem: Sequence[int], rs: RewriteSystem) -> Vector:
     """
     vec = as_vector(elem, rs)
     t = rs.num_rules
-    gen_to_rule = {int(rs.rule_index[k]): k for k in range(t)}
 
-    # depends[k] holds rule positions whose generators appear in k's
+    # depends[k] holds the rules whose generators appear in k's
     # replacement; firing k feeds those generators.
-    depends: list[list[int]] = [[] for _ in range(t)]
-    for k in range(t):
-        for gen, rule_pos in gen_to_rule.items():
-            if rs.rule_add[k, gen] > 0:
-                depends[k].append(rule_pos)
+    depends = [[j for j in range(t) if add[j] > 0] for add in rs.rule_add]
 
     # Cycle check plus topological order (dependers fire first).
     state = [0] * t  # 0 unvisited, 1 on stack, 2 done
@@ -643,10 +624,9 @@ def normal_form(elem: Sequence[int], rs: RewriteSystem) -> Vector:
 
     def visit(k: int) -> None:
         if state[k] == 1:
-            gen = int(rs.rule_index[k])
             raise NonTerminatingError(
                 f"rewriting does not terminate: generator "
-                f"{rs.generators[gen]!r} feeds back into itself"
+                f"{rs.generators[k]!r} feeds back into itself"
             )
         if state[k] == 2:
             return
@@ -660,14 +640,13 @@ def normal_form(elem: Sequence[int], rs: RewriteSystem) -> Vector:
         visit(k)
     order.reverse()
 
-    current = np.array(vec, dtype=np.int64)
+    current = list(vec)
     for k in order:
-        gen = int(rs.rule_index[k])
-        count = int(current[gen])
+        count = current[k]
         if count > 0:
-            current[gen] = 0
-            current += count * rs.rule_add[k]
-    return tuple(current.tolist())
+            current[k] = 0
+            current = [c + count * a for c, a in zip(current, rs.rule_add[k])]
+    return tuple(current)
 
 
 def find_scalar_witness(
@@ -683,6 +662,17 @@ def find_scalar_witness(
     K0 loses nothing: m*x ~ m'*x forces (m' - m)[x] = 0 there.  No firing
     lowers a total, so a pair whose m'*x is already over the coefficient
     cap cannot join; the search stops below it.
+
+    Pairs whose outcome is known are skipped, so the number searched does
+    not grow with max_m.  Write D for max_depth and rise for D times the
+    largest change a rule makes to a total.  A join ends both traces, of at
+    most D firings each, at one total, so (m' - m)*|x| <= rise.  When
+    m > D and m'*|x| + rise is within the coefficient cap, nothing is
+    pruned, a rule at a generator in supp(x) fires at every state either
+    search reaches, and a rule at any other generator fires at s exactly
+    when it fires at s + x: the (m, m') search is the (m-1, m'-1) search
+    shifted by x, with the same states in the same order, so it comes out
+    the same, and that pair came first without joining.
     """
     if max_m < 2:
         raise OutOfRangeError(f"max_m must be at least 2, got {max_m}")
@@ -692,9 +682,19 @@ def find_scalar_witness(
     vec = as_vector(x, rs)
     if not any(vec):
         raise ZeroElementError("witness search requires a nonzero element")
-    top = min(max_m, bounds.max_total_coefficient // sum(vec))
-    for m in range(1, top):
-        for m_prime in range(m + step, top + 1, step):
+    total = sum(vec)
+    depth = bounds.max_depth
+    rise = depth * max((sum(add) - 1 for add in rs.rule_add), default=0)
+    top = min(max_m, bounds.max_total_coefficient // total)
+    gap = rise // total
+    # Past m = D only pairs with m' > unpruned are searched.
+    unpruned = (bounds.max_total_coefficient - rise) // total
+    low = range(1, min(depth + 1, top))
+    high = range(max(depth + 1, unpruned + 1 - gap), top)
+    for m in chain(low, high):
+        for m_prime in range(m + step, min(top, m + gap) + 1, step):
+            if m > depth and m_prime <= unpruned:
+                continue
             outcome = decide_equivalent(scale(vec, m), scale(vec, m_prime), rs, bounds)
             if outcome.status == EQUIVALENT:
                 return ScalarWitness(
@@ -718,21 +718,18 @@ def fire_greedily(
     so firing one rule never disables another: if this order gets stuck,
     every order does.
     """
-    adds = rs.rule_add.tolist()
-    gens = rs.rule_index.tolist()
     owed = list(counts)
-    current = list(start)
+    current = tuple(start)
     steps = []
     while any(owed):
-        for k, gen in enumerate(gens):
-            if owed[k] and current[gen]:
+        for k in range(rs.num_rules):
+            if owed[k] and current[k]:
                 break
         else:
             return None
         owed[k] -= 1
-        current = [c + a for c, a in zip(current, adds[k])]
-        current[gen] -= 1
-        steps.append((gen, tuple(current)))
+        current = rs.fire(current, k)
+        steps.append((k, current))
     return ReductionTrace(start=tuple(start), steps=tuple(steps))
 
 

@@ -26,7 +26,7 @@ def test_companion_of_rose_two():
     assert comp.graph.vertices == ("v", "v'")
     assert comp.graph.num_edges == 4
     m = incidence(comp.graph)
-    assert m.entries.tolist() == [[2, 2], [0, 0]]
+    assert m.entries == ((2, 2), (0, 0))
     assert m.num_regular == 1
     assert comp.vertex_origin == {"v'": "v"}
     assert comp.edge_origin == {"e'": "e", "f'": "f"}
@@ -37,13 +37,13 @@ def test_companion_of_line_graph():
     comp = cohn_companion(line_graph())
     assert comp.graph.vertices == ("u", "v", "w", "u'", "v'")
     m = incidence(comp.graph)
-    assert m.entries.tolist() == [
-        [0, 1, 0, 0, 1],
-        [0, 0, 1, 0, 0],
-        [0, 0, 0, 0, 0],
-        [0, 0, 0, 0, 0],
-        [0, 0, 0, 0, 0],
-    ]
+    assert m.entries == (
+        (0, 1, 0, 0, 1),
+        (0, 0, 1, 0, 0),
+        (0, 0, 0, 0, 0),
+        (0, 0, 0, 0, 0),
+        (0, 0, 0, 0, 0),
+    )
     # u has no incoming edges, so u' is an isolated sink.
     incoming = [e for e in comp.graph.edges if e.dst == "u'"]
     assert incoming == []
@@ -94,11 +94,11 @@ def test_relative_companion_partial():
     comp = relative_companion(g, x)
     assert comp.graph.vertices == ("v1", "v2", "v1'")
     m = incidence(comp.graph)
-    assert m.entries.tolist() == [
-        [1, 0, 1],
-        [1, 2, 1],
-        [0, 0, 0],
-    ]
+    assert m.entries == (
+        (1, 0, 1),
+        (1, 2, 1),
+        (0, 0, 0),
+    )
 
 
 def test_relative_companion_rejects_sink_in_x():
@@ -134,18 +134,18 @@ def test_family_structure():
     assert g.vertices == ("v1", "v2", "v3")
     assert x == ("v2", "v3")
     m = incidence(g)
-    assert m.entries.tolist() == [
-        [1, 0, 0],
-        [0, 1, 0],
-        [1, 1, 2],
-    ]
+    assert m.entries == (
+        (1, 0, 0),
+        (0, 1, 0),
+        (1, 1, 2),
+    )
 
 
 def test_family_smallest_instance():
     g, x = family(1, 1)
     assert g.vertices == ("v1",)
     assert x == ("v1",)
-    assert incidence(g).entries.tolist() == [[2]]
+    assert incidence(g).entries == ((2,),)
 
 
 def test_family_rejects_out_of_range_parameters():

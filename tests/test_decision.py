@@ -11,6 +11,7 @@ import cohnibn.decision
 import cohnibn.rewriting
 from cohnibn import (
     AlgebraSpec,
+    EQUIVALENT,
     IBN_CERTIFIED,
     IBN_REFUTED,
     IBN_UNKNOWN,
@@ -22,12 +23,14 @@ from cohnibn import (
     KIND_RELATIVE,
     OutOfRangeError,
     ReductionTrace,
+    RewriteSystem,
     ScalarWitness,
     SearchBounds,
     WeightCertificate,
     audit,
     cohn_companion,
     construct_scalar_witness,
+    decide_equivalent,
     decide_ibn,
     decide_imn,
     family,
@@ -39,6 +42,7 @@ from cohnibn import (
     relative_companion,
     resolve_target,
     rose_two,
+    scale,
     serialize_weights,
     solve_exact,
     torsion_order,
@@ -390,6 +394,79 @@ def test_search_skips_pairs_over_the_coefficient_cap(monkeypatch):
     assert roots and max(roots) <= bounds.max_total_coefficient
     assert verdict.route == "witness-construction"
     assert audit(verdict, spec)
+
+
+def _every_pair_in_order(vec, rs, max_m, bounds, step):
+    """The pair loop of find_scalar_witness before it skipped any pair:
+    its witness or None, and the number of pairs searched."""
+    top = min(max_m, bounds.max_total_coefficient // sum(vec))
+    searched = 0
+    for m in range(1, top):
+        for m_prime in range(m + step, top + 1, step):
+            searched += 1
+            out = decide_equivalent(scale(vec, m), scale(vec, m_prime), rs, bounds)
+            if out.status == EQUIVALENT:
+                witness = ScalarWitness(vec, m, m_prime, out.descendant,
+                                        out.trace_a, out.trace_b)
+                return witness, searched
+    return None, searched
+
+
+def test_skipped_pairs_leave_the_search_result_unchanged(monkeypatch):
+    # In each, the least pair prunes firings, which leaves room under the
+    # state cap that its shifted predecessor fills without joining: a pair
+    # whose search prunes must not be skipped as a shift.  In the second,
+    # that pair is (m, m + gap) at the least m the loop must still try.
+    pinned = [
+        (((0, 0, 1, 0, 0), (1, 2, 0, 2, 1), (0, 0, 0, 0, 1), (1, 0, 0, 0, 0),
+          (0, 0, 0, 1, 0)),
+         SearchBounds(max_states=17, max_total_coefficient=37, max_depth=2),
+         (5, 6)),
+        (((2, 0, 2), (0, 0, 1), (0, 0, 1)),
+         SearchBounds(max_states=2, max_total_coefficient=9, max_depth=1),
+         (2, 3)),
+    ]
+    for rule_add, bounds, pair in pinned:
+        rs = RewriteSystem(tuple(f"n{i}" for i in range(len(rule_add[0]))), rule_add)
+        x = (1,) * rs.num_generators
+        want, _ = _every_pair_in_order(x, rs, 10, bounds, 1)
+        assert (want.m, want.m_prime) == pair
+        assert find_scalar_witness(x, rs, 10, bounds) == want
+
+    tried = []
+    real = cohnibn.rewriting.decide_equivalent
+
+    def recording(a, b, *args, **kwargs):
+        tried.append((a, b))
+        return real(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(cohnibn.rewriting, "decide_equivalent", recording)
+    rng = random.Random(21)
+    targets = found = every = 0
+    while targets < 30:
+        rs = monoid_presentation(incidence(
+            make_random_graph(rng, max_vertices=5, max_edges=10)))
+        rows = rs.relation_rows()
+        if solve_exact(rs) is not None or len(echelon_basis(rows)) == rs.num_rules:
+            continue
+        targets += 1
+        k0, _ = torsion_order(rows, (1,) * rs.num_generators)
+        n = rs.num_generators
+        for _ in range(6):
+            x = (1,) * n if rng.random() < 0.7 else tuple(
+                rng.randint(0, 2) for _ in range(n - 1)) + (1,)
+            bounds = SearchBounds(
+                max_states=rng.randint(1, 40),
+                max_total_coefficient=rng.randint(sum(x), 40),
+                max_depth=rng.randint(1, 3),
+            )
+            max_m = rng.randint(2, 16)
+            step = rng.choice((1, k0))
+            want, searched = _every_pair_in_order(x, rs, max_m, bounds, step)
+            every += searched
+            assert find_scalar_witness(x, rs, max_m, bounds, step) == want
+            found += want is not None
+    assert found and len(tried) < every / 2
 
 
 def test_every_open_verdict_gives_k0_and_the_flag_to_raise():

@@ -2,7 +2,6 @@
 
 import random
 
-import numpy as np
 import pytest
 
 from cohnibn import (
@@ -80,29 +79,29 @@ def test_incidence_line_graph():
     m = incidence(line_graph())
     assert m.order == ("u", "v", "w")
     assert m.num_regular == 2
-    assert m.entries.tolist() == [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
+    assert m.entries == ((0, 1, 0), (0, 0, 1), (0, 0, 0))
 
 
 def test_incidence_counts_multiplicity():
     m = incidence(rose_two())
     assert m.order == ("v",)
     assert m.num_regular == 1
-    assert m.entries.tolist() == [[2]]
+    assert m.entries == ((2,),)
 
     g = validate(graph_from(["a", "b"], [("e", "a", "b"), ("f", "a", "b")]))
-    assert incidence(g).entries.tolist() == [[0, 2], [0, 0]]
+    assert incidence(g).entries == ((0, 2), (0, 0))
 
 
 def test_incidence_rows_past_regular_block_are_zero():
     m = incidence(line_graph())
-    assert not m.entries[m.num_regular:].any()
+    assert not any(map(any, m.entries[m.num_regular:]))
 
 
 def test_incidence_totals_count_edges():
     rng = random.Random(53)
     for _ in range(40):
         g = make_random_graph(rng)
-        assert int(incidence(g).entries.sum()) == g.num_edges
+        assert sum(map(sum, incidence(g).entries)) == g.num_edges
 
 
 def test_incidence_row_is_zero_exactly_at_sinks():
@@ -112,13 +111,13 @@ def test_incidence_row_is_zero_exactly_at_sinks():
         m = incidence(g)
         sinks = set(classify(g).sinks)
         for i, name in enumerate(m.order):
-            assert (name in sinks) == (not m.entries[i].any())
+            assert (name in sinks) == (not any(m.entries[i]))
 
 
 def test_incidence_entries_are_read_only():
     m = incidence(rose_two())
-    with pytest.raises(ValueError):
-        m.entries[0, 0] = 9
+    with pytest.raises(TypeError):
+        m.entries[0][0] = 9
 
 
 def test_incidence_matrix_equality():
@@ -128,5 +127,5 @@ def test_incidence_matrix_equality():
     assert a == b
     assert a != c
     assert a != "not a matrix"
-    other = IncidenceMatrix(order=("v",), entries=np.array([[3]]), num_regular=1)
+    other = IncidenceMatrix(order=("v",), entries=((3,),), num_regular=1)
     assert a != other

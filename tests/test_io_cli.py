@@ -327,25 +327,47 @@ def test_cli_ibn_check_x_requires_relative(cli):
     assert code == EXIT_USAGE
 
 
-def test_cli_ibn_check_huge_bounds_finish(cli):
-    # The witness is built, not searched for, so bounds near 2**62 cost
-    # nothing; a pair search over them would not finish.
+def _ibn_check_huge_bounds(args, stdin=None):
+    """Run ibn-check in a child process with --max-m and --max-coeff at
+    2**62, so that a hang fails the test at its timeout."""
     src = Path(cohnibn.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
     )}
     huge = str(2**62)
     wrapper = "import sys; from cohnibn.cli import main; sys.exit(main())"
-    out = subprocess.run(
-        [sys.executable, "-c", wrapper, "ibn-check", "--example", "r2",
+    return subprocess.run(
+        [sys.executable, "-c", wrapper, "ibn-check", *args,
          "--algebra", "leavitt", "--max-m", huge, "--max-coeff", huge,
          "--max-states", "1", "--format", "json"],
-        capture_output=True, env=env, timeout=20,
+        capture_output=True, env=env, timeout=20, input=stdin, text=True,
     )
+
+
+def test_cli_ibn_check_huge_bounds_finish(cli):
+    # The witness is built, not searched for, so bounds near 2**62 cost
+    # nothing; a pair search over them would not finish.
+    out = _ibn_check_huge_bounds(["--example", "r2"])
     assert out.returncode == EXIT_REFUTED
     result = json.loads(out.stdout)["result"]
     assert result["route"] == "witness-construction"
     assert (result["witness"]["m"], result["witness"]["m_prime"]) == (1, 2)
+
+
+def test_cli_fallback_search_with_huge_bounds_finishes(cli):
+    # Rank-deficient relation rows and a constructed witness that breaks
+    # --max-depth send ibn-check to the pair search; the pairs it tries
+    # must not grow with --max-m.
+    graph = graph_from(
+        ["u", "v", "w"],
+        [("a", "u", "u"), ("b", "u", "u"), ("c", "u", "v"), ("d", "u", "v"),
+         ("e", "v", "w"), ("f", "w", "v")],
+    )
+    out = _ibn_check_huge_bounds(
+        ["-", "--max-depth", "1"], stdin=emit_graph_text(graph)
+    )
+    assert out.returncode == EXIT_UNKNOWN
+    assert json.loads(out.stdout)["result"]["route"] == "exhausted"
 
 
 def test_cli_ibn_check_json_report(cli):

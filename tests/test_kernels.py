@@ -1,26 +1,30 @@
-"""The frontier-expansion kernel must agree exactly with the loop oracle."""
+"""The frontier-expansion kernel must agree exactly with the loop oracle,
+and it is the only numpy code in the package."""
 
+import ast
 import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
+import cohnibn
 from cohnibn import cohn_companion, incidence, monoid_presentation
-from cohnibn.rewriting import _rule_dsum, expand_frontier
+from cohnibn.rewriting import _rule_arrays, expand_frontier
 from conftest import make_random_graph
 
 
-def _expand_frontier_loops(frontier, totals, rule_index, rule_add, rule_dsum, max_total):
+def _expand_frontier_loops(frontier, totals, rule_add, rule_dsum, max_total):
     """Reference kernel: one plain loop per (parent, rule) pair."""
     num_rows, width = frontier.shape
-    num_rules = rule_index.shape[0]
+    num_rules = rule_add.shape[0]
     count = 0
     pruned = 0
     for p in range(num_rows):
         for k in range(num_rules):
-            if frontier[p, rule_index[k]] > 0:
+            if frontier[p, k] > 0:
                 if totals[p] + rule_dsum[k] <= max_total:
                     count += 1
                 else:
@@ -31,11 +35,10 @@ def _expand_frontier_loops(frontier, totals, rule_index, rule_add, rule_dsum, ma
     pos = 0
     for p in range(num_rows):
         for k in range(num_rules):
-            gen = rule_index[k]
-            if frontier[p, gen] > 0 and totals[p] + rule_dsum[k] <= max_total:
+            if frontier[p, k] > 0 and totals[p] + rule_dsum[k] <= max_total:
                 for j in range(width):
                     children[pos, j] = frontier[p, j] + rule_add[k, j]
-                children[pos, gen] -= 1
+                children[pos, k] -= 1
                 parents[pos] = p
                 fired[pos] = k
                 pos += 1
@@ -62,9 +65,9 @@ def test_backends_agree_on_random_cases():
     rng = random.Random(5)
     for _ in range(60):
         rs, frontier, totals, max_total = _random_case(rng)
-        dsum = _rule_dsum(rs)
+        add, dsum = _rule_arrays(rs)
         results = [
-            fn(frontier, totals, rs.rule_index, rs.rule_add, dsum, max_total)
+            fn(frontier, totals, add, dsum, max_total)
             for _, fn in _BACKENDS
         ]
         ref = results[0]
@@ -78,10 +81,8 @@ def test_output_is_in_parent_then_rule_order():
     rng = random.Random(9)
     for _ in range(20):
         rs, frontier, totals, max_total = _random_case(rng)
-        dsum = _rule_dsum(rs)
-        _, parents, fired, _ = expand_frontier(
-            frontier, totals, rs.rule_index, rs.rule_add, dsum, max_total
-        )
+        add, dsum = _rule_arrays(rs)
+        _, parents, fired, _ = expand_frontier(frontier, totals, add, dsum, max_total)
         keys = list(zip(parents.tolist(), fired.tolist()))
         assert keys == sorted(keys)
 
@@ -90,44 +91,40 @@ def test_children_match_manual_application():
     rng = random.Random(13)
     for _ in range(20):
         rs, frontier, totals, max_total = _random_case(rng)
-        dsum = _rule_dsum(rs)
+        add, dsum = _rule_arrays(rs)
         children, parents, fired, pruned = expand_frontier(
-            frontier, totals, rs.rule_index, rs.rule_add, dsum, max_total
+            frontier, totals, add, dsum, max_total
         )
         expected = 0
         for p in range(frontier.shape[0]):
             for k in range(rs.num_rules):
-                gen = int(rs.rule_index[k])
-                if frontier[p, gen] < 1:
+                if frontier[p, k] < 1:
                     continue
                 if totals[p] + dsum[k] > max_total:
                     expected += 1  # applicable but pruned
         assert pruned == expected
         for child, p, k in zip(children, parents, fired):
-            gen = int(rs.rule_index[k])
-            manual = frontier[p] + rs.rule_add[k]
-            manual[gen] -= 1
+            manual = frontier[p] + add[k]
+            manual[k] -= 1
             assert np.array_equal(child, manual)
-            assert frontier[p, gen] >= 1
+            assert frontier[p, k] >= 1
 
 
 def test_zero_rules_and_empty_frontier():
-    idx = np.empty(0, dtype=np.int64)
     add = np.empty((0, 2), dtype=np.int64)
     dsum = np.empty(0, dtype=np.int64)
     frontier = np.array([[1, 2]], dtype=np.int64)
     totals = np.array([3], dtype=np.int64)
     for name, fn in _BACKENDS:
-        children, parents, fired, pruned = fn(frontier, totals, idx, add, dsum, 10)
+        children, parents, fired, pruned = fn(frontier, totals, add, dsum, 10)
         assert children.shape == (0, 2) and pruned == 0, name
 
-    idx2 = np.array([0], dtype=np.int64)
     add2 = np.array([[1, 1]], dtype=np.int64)
     dsum2 = np.array([1], dtype=np.int64)
     empty = np.empty((0, 2), dtype=np.int64)
     etot = np.empty(0, dtype=np.int64)
     for name, fn in _BACKENDS:
-        children, parents, fired, pruned = fn(empty, etot, idx2, add2, dsum2, 10)
+        children, parents, fired, pruned = fn(empty, etot, add2, dsum2, 10)
         assert children.shape == (0, 2) and pruned == 0, name
 
 
@@ -155,3 +152,20 @@ def test_search_results_identical_across_backends():
     assert run.stdout.strip() == str(
         (here.status, here.descendant, here.trace_a.steps, here.trace_b.steps)
     )
+
+
+def test_only_the_rewriting_module_imports_numpy():
+    # numpy stays inside the breadth-first search's frontier kernel; every
+    # other module works on plain int tuples.
+    importers = set()
+    for path in Path(cohnibn.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                importers.add(path.name)
+    assert importers == {"rewriting.py"}

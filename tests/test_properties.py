@@ -137,8 +137,7 @@ def test_normal_forms_on_acyclic_graphs(data):
     rs = monoid_presentation(incidence(g))
     elem = _small_element(data.draw, rs.num_generators)
     nf = normal_form(elem, rs)
-    rewritable = set(int(k) for k in rs.rule_index)
-    assert all(nf[i] == 0 for i in rewritable)
+    assert all(nf[k] == 0 for k in range(rs.num_rules))
     assert sum(elem) == 0 or sum(nf) > 0
     for succ in one_step(elem, rs):
         assert normal_form(succ, rs) == nf

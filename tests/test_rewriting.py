@@ -2,7 +2,6 @@
 
 import dataclasses
 
-import numpy as np
 import pytest
 
 from cohnibn import (
@@ -75,13 +74,13 @@ def test_presentations_of_edgeless_graph_are_free():
 
 def test_rewrite_system_validation():
     with pytest.raises(ValueError):
-        RewriteSystem(("a",), np.array([0, 0]), np.array([[1], [1]]))
+        RewriteSystem(("a",), ((1,), (1,)))
     with pytest.raises(ValueError):
-        RewriteSystem(("a",), np.array([2]), np.array([[1]]))
+        RewriteSystem(("a",), ((0,),))
     with pytest.raises(ValueError):
-        RewriteSystem(("a",), np.array([0]), np.array([[0]]))
+        RewriteSystem(("a", "b"), ((2, -1),))
     with pytest.raises(ValueError):
-        RewriteSystem(("a", "b"), np.array([0]), np.array([[1]]))
+        RewriteSystem(("a", "b"), ((1,),))
 
 
 def test_as_vector_checks_length_and_sign():
@@ -110,11 +109,7 @@ def test_one_step_lists_a_successor_per_applicable_rule():
 
 def test_one_step_dedupes_equal_successors():
     # Firing either rule on (1, 1) lands on (2, 2); one successor reported.
-    rs = RewriteSystem(
-        ("a", "b"),
-        np.array([0, 1]),
-        np.array([[2, 1], [1, 2]]),
-    )
+    rs = RewriteSystem(("a", "b"), ((2, 1), (1, 2)))
     assert one_step((1, 1), rs) == ((2, 2),)
 
 
@@ -259,8 +254,7 @@ def test_decide_equivalent_unknown_on_truncation():
 
 def test_decide_equivalent_no_rules_free_monoid():
     rs = monoid_presentation(incidence(line_graph()))
-    free = RewriteSystem(rs.generators, np.empty(0, dtype=np.int64),
-                         np.empty((0, 3), dtype=np.int64))
+    free = RewriteSystem(rs.generators, ())
     assert decide_equivalent((1, 0, 0), (1, 0, 0), free).status == EQUIVALENT
     out = decide_equivalent((1, 0, 0), (0, 1, 0), free)
     assert out.status == NOT_EQUIVALENT
