@@ -5,7 +5,8 @@ companion constructions that turn questions about relative Cohn path
 algebras into questions about Leavitt path algebras.  It decides IBN by
 solving the weight system with K0's integer echelon and, when no
 certificate exists, from the finite order k0 of [1] in K0: the least
-witness rho ~ (1 + k0)*rho is built from the torsion relation, and a
+witness rho ~ (1 + k0)*rho is built from the torsion relation, and is
+reported whenever its traces fit the coefficient and depth bounds.  A
 bounded confluence search over the pairs k0 allows remains only as the
 fallback for rank-deficient relation rows.
 """
@@ -48,7 +49,6 @@ from .construct import (
     relative_companion,
 )
 from .rewriting import (
-    DEFAULT_MAX_M,
     EQUIVALENT,
     NOT_EQUIVALENT,
     UNKNOWN,
@@ -131,7 +131,7 @@ __all__ = [
     "PRIME", "CompanionGraph", "cohn_companion", "relative_companion",
     "companion_incidence", "family",
     # rewriting
-    "DEFAULT_MAX_M", "EQUIVALENT", "NOT_EQUIVALENT", "UNKNOWN",
+    "EQUIVALENT", "NOT_EQUIVALENT", "UNKNOWN",
     "RewriteSystem", "SearchBounds", "ReductionTrace", "Closure",
     "EquivalenceOutcome", "ScalarWitness", "Construction", "as_vector",
     "scale", "monoid_presentation", "cohn_presentation", "one_step",

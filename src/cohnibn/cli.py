@@ -34,7 +34,6 @@ from .fixtures import describe_examples, load_example
 from .graphio import emit_graph_json, emit_graph_text, graph_as_dict, parse_graph
 from .graphs import Graph, incidence, validate
 from .rewriting import (
-    DEFAULT_MAX_M,
     EQUIVALENT,
     NOT_EQUIVALENT,
     ReductionTrace,
@@ -158,15 +157,12 @@ def _report(command: str, arguments: dict, source: str, digest: str,
     }
 
 
-def _bounds_dict(bounds: SearchBounds, max_m: int | None = None) -> dict:
-    out = {
+def _bounds_dict(bounds: SearchBounds) -> dict:
+    return {
         "max_states": bounds.max_states,
         "max_total_coefficient": bounds.max_total_coefficient,
         "max_depth": bounds.max_depth,
     }
-    if max_m is not None:
-        out["max_m"] = max_m
-    return out
 
 
 def _trace_dict(trace: ReductionTrace, generators: tuple[str, ...]) -> dict:
@@ -246,8 +242,6 @@ def _cmd_companion(ns) -> int:
 
 
 def _cmd_ibn_check(ns) -> int:
-    if ns.max_m < 2:
-        raise _UsageError(f"--max-m must be at least 2, got {ns.max_m}")
     graph, x_default, source = _resolve_input(ns)
     x = _parse_x(ns.x, default=x_default)
     if ns.algebra != KIND_RELATIVE and x:
@@ -256,7 +250,7 @@ def _cmd_ibn_check(ns) -> int:
         x = ()
     spec = AlgebraSpec(kind=ns.algebra, graph=graph, x=x)
     bounds = _bounds(ns)
-    verdict = decide_imn(decide_ibn(spec, bounds, ns.max_m))
+    verdict = decide_imn(decide_ibn(spec, bounds))
     if not audit(verdict, spec):
         raise InternalInvariantViolation("verdict failed its own audit")
 
@@ -269,7 +263,7 @@ def _cmd_ibn_check(ns) -> int:
         "route": verdict.route,
         "ibn": verdict.ibn,
         "imn": verdict.imn,
-        "bounds": _bounds_dict(bounds, verdict.max_m),
+        "bounds": _bounds_dict(bounds),
         "notes": list(verdict.notes),
         "audit": "pass",
     }
@@ -292,7 +286,6 @@ def _cmd_ibn_check(ns) -> int:
     report = _report("ibn-check", {
         "algebra": ns.algebra,
         "x": list(x),
-        "max_m": ns.max_m,
         "max_states": ns.max_states,
         "max_coeff": ns.max_coeff,
         "max_depth": ns.max_depth,
@@ -325,7 +318,7 @@ def _cmd_ibn_check(ns) -> int:
     lines.append(
         f"bounds: max-states={bounds.max_states} "
         f"max-coeff={bounds.max_total_coefficient} "
-        f"max-depth={bounds.max_depth} max-m={verdict.max_m}"
+        f"max-depth={bounds.max_depth}"
     )
     lines.append("audit: pass")
 
@@ -476,7 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algebra", choices=("cohn", "relative", "leavitt"),
                    default="cohn")
     p.add_argument("--x", metavar="LIST", help="comma-separated regular vertices")
-    p.add_argument("--max-m", type=int, default=DEFAULT_MAX_M)
     _add_bounds_args(p)
     _add_output_args(p)
     p.set_defaults(func=_cmd_ibn_check)

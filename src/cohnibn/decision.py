@@ -7,7 +7,8 @@ target's Leavitt path algebra, decided on the target's graph monoid:
 a verified weight certificate certifies it; otherwise [1] has finite
 order k0 in K0, and the torsion relation builds the least scalar witness
 rho ~ (1 + k0)*rho, a replayable refutation.  It is left open only when
-that witness breaks a bound.
+that witness breaks max_total_coefficient or max_depth and no other
+witness is found within them.
 Verdicts always carry their evidence, and audit() re-checks that
 evidence from scratch.
 """
@@ -18,11 +19,10 @@ from dataclasses import dataclass, replace
 
 from .certificates import WeightCertificate, solve_exact, verify_certificate
 from .construct import cohn_companion, relative_companion
-from .errors import CohnIbnError, InternalInvariantViolation, OutOfRangeError
+from .errors import CohnIbnError, InternalInvariantViolation
 from .graphs import Graph, incidence, validate
 from .lattice import echelon_basis, torsion_order
 from .rewriting import (
-    DEFAULT_MAX_M,
     ReductionTrace,
     RewriteSystem,
     ScalarWitness,
@@ -70,7 +70,6 @@ class Verdict:
     certificate: WeightCertificate | None
     witness: ScalarWitness | None
     bounds: SearchBounds
-    max_m: int
     route: str
     notes: tuple[str, ...]
 
@@ -88,27 +87,24 @@ def resolve_target(spec: AlgebraSpec) -> Graph:
 def decide_ibn(
     spec: AlgebraSpec,
     bounds: SearchBounds | None = None,
-    max_m: int = DEFAULT_MAX_M,
 ) -> Verdict:
     """Decide IBN for the algebra: certificate first, then a witness.
 
     With no certificate, the order k0 of [1] in K0 is finite, and only
-    pairs m < m' with k0 | m' - m can be equivalent.  If k0 >= max_m no
-    pair is in range.  Otherwise the witness rho ~ (1 + k0)*rho, the least
-    pair, is built from the torsion relation without a search.  Where it
-    breaks max_total_coefficient or max_depth and the relation rows have
-    full rank, every witness of every pair fires the relation at least
-    once, so none fits and the verdict is unknown with no search.  Only
-    rank-deficient rows fall back to searching the pairs, least first,
-    within all the bounds.  An unknown verdict's notes name the bound to
-    raise.
+    pairs m < m' with k0 | m' - m can be equivalent.  The witness
+    rho ~ (1 + k0)*rho, the least pair, is built from the torsion relation
+    without a search.  Where it breaks max_total_coefficient or max_depth
+    and the relation rows have full rank, every witness of every pair
+    fires the relation at least once, so none fits and the verdict is
+    unknown with no search.  Only rank-deficient rows fall back to
+    searching the pairs, least first, within the bounds.  An unknown
+    verdict's notes name every bound the constructed witness breaks and
+    the value it needs.
 
     The certificate route is complete for the Cohn kind, so failure there
     raises InternalInvariantViolation rather than producing a verdict.
     The returned verdict leaves imn unresolved; see decide_imn.
     """
-    if max_m < 2:
-        raise OutOfRangeError(f"max_m must be at least 2, got {max_m}")
     bounds = bounds or SearchBounds()
     target = resolve_target(spec)
     rs = monoid_presentation(incidence(target))
@@ -126,7 +122,6 @@ def decide_ibn(
             certificate=certificate,
             witness=witness,
             bounds=bounds,
-            max_m=max_m,
             route=route,
             notes=tuple(notes),
         )
@@ -155,14 +150,8 @@ def decide_ibn(
         )
     k0, relation = torsion
     notes.append(f"order of [1] in K0: k0={k0}")
-    if k0 >= max_m:
-        notes.append(
-            f"no pair m < m' <= max_m={max_m} has k0 | m' - m; "
-            f"raise --max-m to {k0 + 1}"
-        )
-        return verdict(IBN_UNKNOWN, "torsion-bound")
 
-    built = construct_scalar_witness(rs, k0, relation, max_m, bounds)
+    built = construct_scalar_witness(rs, k0, relation, bounds)
     witness = built.witness
     if witness is not None:
         route = "witness-construction"
@@ -171,7 +160,6 @@ def decide_ibn(
             f"from the torsion relation"
         )
     else:
-        # k0 < max_m, so only these two bounds can break.
         limits = {
             "max_total_coefficient": ("--max-coeff", bounds.max_total_coefficient),
             "max_depth": ("--max-depth", bounds.max_depth),
@@ -194,11 +182,11 @@ def decide_ibn(
                 "these bounds"
             )
             return verdict(IBN_UNKNOWN, "exhausted")
-        witness = find_scalar_witness(rho, rs, max_m, bounds, step=k0)
+        witness = find_scalar_witness(rho, rs, bounds, step=k0)
         if witness is None:
             notes.append(
-                f"witness search: no pair m < m' <= max_m={max_m} with "
-                f"k0 | m' - m joined within bounds"
+                "witness search: no pair m < m' with k0 | m' - m "
+                "joined within bounds"
             )
             notes.extend(breaks)
             return verdict(IBN_UNKNOWN, "exhausted")

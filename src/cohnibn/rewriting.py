@@ -113,9 +113,6 @@ class SearchBounds:
             )
 
 
-DEFAULT_MAX_M = 6
-
-
 @dataclass(frozen=True)
 class ReductionTrace:
     """A forward rewrite sequence: each step fires one rule.
@@ -652,30 +649,28 @@ def normal_form(elem: Sequence[int], rs: RewriteSystem) -> Vector:
 def find_scalar_witness(
     x: Sequence[int],
     rs: RewriteSystem,
-    max_m: int = DEFAULT_MAX_M,
     bounds: SearchBounds | None = None,
     step: int = 1,
 ) -> ScalarWitness | None:
-    """Least pair m < m' <= max_m with m*x equivalent to m'*x, or None.
+    """Least pair m < m' with m*x equivalent to m'*x within bounds, or None.
 
     Only pairs with step | m' - m are tried.  Passing the order of [x] in
     K0 loses nothing: m*x ~ m'*x forces (m' - m)[x] = 0 there.  No firing
     lowers a total, so a pair whose m'*x is already over the coefficient
-    cap cannot join; the search stops below it.
+    cap cannot join: m' <= max_total_coefficient // |x|.
 
     Pairs whose outcome is known are skipped, so the number searched does
-    not grow with max_m.  Write D for max_depth and rise for D times the
-    largest change a rule makes to a total.  A join ends both traces, of at
-    most D firings each, at one total, so (m' - m)*|x| <= rise.  When
-    m > D and m'*|x| + rise is within the coefficient cap, nothing is
-    pruned, a rule at a generator in supp(x) fires at every state either
-    search reaches, and a rule at any other generator fires at s exactly
-    when it fires at s + x: the (m, m') search is the (m-1, m'-1) search
-    shifted by x, with the same states in the same order, so it comes out
-    the same, and that pair came first without joining.
+    not grow with max_total_coefficient.  Write D for max_depth and rise
+    for D times the largest change a rule makes to a total.  A join ends
+    both traces, of at most D firings each, at one total, so
+    (m' - m)*|x| <= rise.  When m > D and m'*|x| + rise is within the
+    coefficient cap, nothing is pruned, a rule at a generator in supp(x)
+    fires at every state either search reaches, and a rule at any other
+    generator fires at s exactly when it fires at s + x: the (m, m') search
+    is the (m-1, m'-1) search shifted by x, with the same states in the
+    same order, so it comes out the same, and that pair came first without
+    joining.
     """
-    if max_m < 2:
-        raise OutOfRangeError(f"max_m must be at least 2, got {max_m}")
     if step < 1:
         raise OutOfRangeError(f"step must be positive, got {step}")
     bounds = bounds or SearchBounds()
@@ -685,7 +680,7 @@ def find_scalar_witness(
     total = sum(vec)
     depth = bounds.max_depth
     rise = depth * max((sum(add) - 1 for add in rs.rule_add), default=0)
-    top = min(max_m, bounds.max_total_coefficient // total)
+    top = bounds.max_total_coefficient // total
     gap = rise // total
     # Past m = D only pairs with m' > unpruned are searched.
     unpruned = (bounds.max_total_coefficient - rise) // total
@@ -737,8 +732,8 @@ def fire_greedily(
 class Construction:
     """A scalar witness built from a torsion relation, or the bounds it broke.
 
-    ``needs`` pairs each broken bound (``max_m``, ``max_total_coefficient``
-    or ``max_depth``) with the value the witness needs; it is empty exactly
+    ``needs`` pairs each broken bound (``max_total_coefficient`` or
+    ``max_depth``) with the value the witness needs; it is empty exactly
     when ``witness`` is set.
     """
 
@@ -750,7 +745,6 @@ def construct_scalar_witness(
     rs: RewriteSystem,
     order: int,
     relation: Sequence[int],
-    max_m: int = DEFAULT_MAX_M,
     bounds: SearchBounds | None = None,
 ) -> Construction:
     """The witness rho ~ (1+order)*rho from order*rho = sum_k relation[k]*r_k.
@@ -763,10 +757,14 @@ def construct_scalar_witness(
     1 + order plus an inflow, and elsewhere firings only add.  Both starts
     hold every generator and z >= 0, so both firings complete (a stuck
     firing raises InternalInvariantViolation).  As order divides m' - m for
-    every equivalent pair, (1, 1+order) is the least one.  It is returned
-    only if 1 + order <= max_m, every vector on both traces has total at
-    most max_total_coefficient, and each trace has at most max_depth steps;
-    otherwise the broken bounds are returned with the values needed.
+    every equivalent pair, (1, 1+order) is the least one.
+
+    No firing lowers a total, so both traces peak at z, whose total is
+    |(1+order)*rho| plus (|add_k| - 1) for each firing of rule k from
+    (1+order)*rho.  The peak and the longer trace's length are checked
+    against max_total_coefficient and max_depth before anything fires;
+    every broken bound is returned with the value it needs, and the
+    witness only when none breaks.
     """
     if len(relation) != rs.num_rules:
         raise LengthMismatchError(
@@ -776,10 +774,18 @@ def construct_scalar_witness(
     bounds = bounds or SearchBounds()
     fire_a = [max(0, -c) for c in relation]
     fire_b = [max(0, c) for c in relation]
-    depth = max(sum(fire_a), sum(fire_b))
-    if depth > bounds.max_depth:
-        return Construction(witness=None, needs=(("max_depth", depth),))
     rho = (1,) * rs.num_generators
+    peak = (1 + order) * len(rho) + sum(
+        count * (sum(add) - 1) for count, add in zip(fire_b, rs.rule_add)
+    )
+    depth = max(sum(fire_a), sum(fire_b))
+    needs = []
+    if peak > bounds.max_total_coefficient:
+        needs.append(("max_total_coefficient", peak))
+    if depth > bounds.max_depth:
+        needs.append(("max_depth", depth))
+    if needs:
+        return Construction(witness=None, needs=tuple(needs))
     trace_a = fire_greedily(rho, fire_a, rs)
     trace_b = fire_greedily(scale(rho, 1 + order), fire_b, rs)
     if trace_a is None or trace_b is None:
@@ -790,16 +796,10 @@ def construct_scalar_witness(
         raise InternalInvariantViolation(
             "the torsion relation does not join rho and (1+order)*rho"
         )
-    needs = []
-    if 1 + order > max_m:
-        needs.append(("max_m", 1 + order))
-    # Every replacement is nonzero, so no firing lowers a total: both
-    # traces peak at their common end.
-    peak = sum(trace_a.end)
-    if peak > bounds.max_total_coefficient:
-        needs.append(("max_total_coefficient", peak))
-    if needs:
-        return Construction(witness=None, needs=tuple(needs))
+    if sum(trace_a.end) != peak:
+        raise InternalInvariantViolation(
+            "the fired witness does not end at the total its relation gives"
+        )
     return Construction(
         witness=ScalarWitness(
             base=rho,

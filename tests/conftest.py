@@ -46,6 +46,34 @@ def make_random_graph(
     return validate(graph_from(vertices, edges))
 
 
+def graph_from_rows(rows) -> Graph:
+    """The graph on v0, v1, ... with rows[i][j] edges from v_i to v_j."""
+    vertices = [f"v{i}" for i in range(len(rows))]
+    edges = [
+        (f"e{i}_{j}_{c}", vertices[i], vertices[j])
+        for i, row in enumerate(rows)
+        for j, count in enumerate(row)
+        for c in range(count)
+    ]
+    return validate(graph_from(vertices, edges))
+
+
+# Nine vertices whose relation rows are rank-deficient, with k0 = 1; the
+# least witness rho ~ 2*rho fires 4,867,271 times and peaks at a total of
+# 24,672,196.
+LONG_WITNESS_ROWS = (
+    (1, 0, 3, 0, 0, 0, 1, 3, 0),
+    (0, 1, 2, 1, 0, 2, 0, 3, 0),
+    (1, 1, 0, 1, 3, 1, 0, 2, 0),
+    (0, 0, 0, 0, 0, 0, 0, 0, 3),
+    (1, 1, 2, 3, 0, 1, 0, 0, 1),
+    (0, 0, 1, 0, 2, 0, 0, 3, 0),
+    (0, 0, 0, 1, 0, 0, 0, 2, 1),
+    (0, 0, 1, 0, 0, 2, 2, 1, 2),
+    (0, 0, 2, 0, 1, 3, 0, 0, 0),
+)
+
+
 def corpus_graphs() -> list[tuple[str, Graph, tuple[str, ...]]]:
     """Every built-in example plus a few family instances, with their X."""
     entries = [

@@ -280,10 +280,12 @@ def test_criterion_10_cohn_monoid_bookkeeping():
                 assert out.descendant[n + k] == counts_a.get(k, 0)
             pairs_checked += 1
 
-        assert find_scalar_witness(rho_v, rs, max_m=4, bounds=bounds) is None
+        # m' <= max_total_coefficient // |rho_V|: this tries every m' <= 4.
+        up_to_four = SearchBounds(max_states=100_000, max_total_coefficient=4 * n)
+        assert find_scalar_witness(rho_v, rs, up_to_four) is None
 
     print(f"PASS criterion 10: rule counts agree on {pairs_checked} "
-          "equivalent pairs; no m*rho_V ~ m'*rho_V up to maxM=4")
+          "equivalent pairs; no m*rho_V ~ m'*rho_V up to m'=4")
 
 
 def test_criterion_11_imn_inference():

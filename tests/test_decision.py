@@ -21,7 +21,6 @@ from cohnibn import (
     KIND_COHN,
     KIND_LEAVITT,
     KIND_RELATIVE,
-    OutOfRangeError,
     ReductionTrace,
     RewriteSystem,
     ScalarWitness,
@@ -116,7 +115,7 @@ def test_relative_family_edge_instances_are_refuted():
     for (n, m), descendant in expected.items():
         fam, x = family(n, m)
         spec = AlgebraSpec(kind=KIND_RELATIVE, graph=fam, x=x)
-        verdict = decide_imn(decide_ibn(spec, max_m=4))
+        verdict = decide_imn(decide_ibn(spec))
         assert verdict.ibn == IBN_REFUTED, (n, m)
         assert (verdict.witness.m, verdict.witness.m_prime) == (1, 2)
         assert verdict.witness.descendant == descendant
@@ -136,21 +135,19 @@ def test_leavitt_line_graph_is_certified():
 def test_unknown_when_bounds_too_tight():
     spec = AlgebraSpec(kind=KIND_LEAVITT, graph=rose_two())
     tight = SearchBounds(max_total_coefficient=1)
-    verdict = decide_imn(decide_ibn(spec, tight, max_m=3))
+    verdict = decide_imn(decide_ibn(spec, tight))
     assert verdict.ibn == IBN_UNKNOWN
     assert verdict.imn == IMN_UNKNOWN
     assert verdict.route == "exhausted"
     assert verdict.certificate is None and verdict.witness is None
-    assert verdict.max_m == 3
     assert audit(verdict, spec)
 
 
 def test_verdict_reports_bounds_and_notes():
     spec = AlgebraSpec(kind=KIND_COHN, graph=rose_two())
     bounds = SearchBounds(max_states=10, max_total_coefficient=9, max_depth=8)
-    verdict = decide_ibn(spec, bounds, max_m=5)
+    verdict = decide_ibn(spec, bounds)
     assert verdict.bounds == bounds
-    assert verdict.max_m == 5
     assert any("certificate verified" in n for n in verdict.notes)
 
 
@@ -246,8 +243,17 @@ def test_exhausted_names_the_bound_the_construction_broke():
     assert audit(verdict, spec)
 
     spec = AlgebraSpec(kind=KIND_LEAVITT, graph=rose_two())
-    verdict = decide_ibn(spec, SearchBounds(max_total_coefficient=1), max_m=3)
+    verdict = decide_ibn(spec, SearchBounds(max_total_coefficient=1))
     assert "constructed witness breaks --max-coeff=1: raise --max-coeff to 2" in verdict.notes
+
+    # Every broken bound is named, not only the first one checked.
+    spec = AlgebraSpec(kind=KIND_LEAVITT, graph=_DEEP)
+    verdict = decide_ibn(spec, SearchBounds(max_total_coefficient=7, max_depth=3))
+    assert verdict.route == "exhausted"
+    assert [n for n in verdict.notes if n.startswith("constructed witness breaks")] == [
+        "constructed witness breaks --max-coeff=7: raise --max-coeff to 8",
+        "constructed witness breaks --max-depth=3: raise --max-depth to 4",
+    ]
 
 
 # u has two loops and feeds v twice; v and w feed each other.  The rows of
@@ -315,7 +321,6 @@ def test_construction_agrees_with_the_search_it_replaces():
         SearchBounds(max_states=200, max_depth=2),
         SearchBounds(max_states=200, max_total_coefficient=10),
     ]
-    max_m = 6
     targets = deficient = 0
     while targets < 300:
         graph = make_random_graph(rng)
@@ -325,17 +330,14 @@ def test_construction_agrees_with_the_search_it_replaces():
         rows = rs.relation_rows()
         rho = (1,) * rs.num_generators
         k0, relation = torsion_order(rows, rho)
-        if k0 >= max_m:
-            continue
         bounds = tight[targets % len(tight)]
         targets += 1
         deficient += len(echelon_basis(rows)) < rs.num_rules
-        old = find_scalar_witness(rho, rs, max_m, bounds, step=k0) is not None or (
-            construct_scalar_witness(rs, k0, relation, max_m, bounds).witness
-            is not None
+        old = find_scalar_witness(rho, rs, bounds, step=k0) is not None or (
+            construct_scalar_witness(rs, k0, relation, bounds).witness is not None
         )
         spec = AlgebraSpec(kind=KIND_LEAVITT, graph=graph)
-        verdict = decide_ibn(spec, bounds, max_m)
+        verdict = decide_ibn(spec, bounds)
         assert verdict.ibn == (IBN_REFUTED if old else IBN_UNKNOWN), graph
         if verdict.ibn == IBN_REFUTED:
             assert (verdict.witness.m, verdict.witness.m_prime) == (1, 1 + k0)
@@ -343,16 +345,21 @@ def test_construction_agrees_with_the_search_it_replaces():
     assert deficient >= 1
 
 
-def test_torsion_bound_runs_no_search(monkeypatch):
+def test_large_k0_is_refuted_without_search(monkeypatch):
+    # No cap on m' = 1 + k0 but the coefficient bound: R_n's witness
+    # rho ~ n*rho peaks at n.
     monkeypatch.setattr(cohnibn.decision, "find_scalar_witness", _no_search)
-    for n in (7, 8):
+    for n in (7, 8, 64):
         spec = AlgebraSpec(kind=KIND_LEAVITT, graph=_rose(n))
         verdict = decide_imn(decide_ibn(spec))
-        assert verdict.ibn == IBN_UNKNOWN and verdict.imn == IMN_UNKNOWN
-        assert verdict.route == "torsion-bound"
+        assert verdict.ibn == IBN_REFUTED and verdict.imn == IMN_UNKNOWN
+        assert verdict.route == "witness-construction"
+        assert (verdict.witness.m, verdict.witness.m_prime) == (1, n)
         assert f"order of [1] in K0: k0={n - 1}" in verdict.notes
-        assert any(f"raise --max-m to {n}" in note for note in verdict.notes)
         assert audit(verdict, spec)
+    verdict = decide_ibn(AlgebraSpec(kind=KIND_LEAVITT, graph=_rose(65)))
+    assert verdict.route == "exhausted"
+    assert "constructed witness breaks --max-coeff=64: raise --max-coeff to 65" in verdict.notes
 
 
 def test_search_tries_only_pairs_the_order_allows(monkeypatch):
@@ -365,13 +372,14 @@ def test_search_tries_only_pairs_the_order_allows(monkeypatch):
 
     monkeypatch.setattr(cohnibn.rewriting, "decide_equivalent", recording)
     rs = monoid_presentation(incidence(_DEEP))
-    find_scalar_witness((1, 1), rs, bounds=SearchBounds(max_states=1), step=3)
+    bounds = SearchBounds(max_states=1, max_total_coefficient=12)
+    find_scalar_witness((1, 1), rs, bounds, step=3)
     assert tried == [(1, 4), (2, 5), (3, 6)]
 
 
 def test_search_skips_pairs_over_the_coefficient_cap(monkeypatch):
     # No firing lowers a total, so a pair whose m'*rho is over the cap
-    # cannot join; a large --max-m must not try such pairs.
+    # cannot join; the search must not try such pairs.
     edges = [("n3", "n3"), ("n4", "n2"), ("n2", "n1"), ("n4", "n3"),
              ("n0", "n3"), ("n3", "n1"), ("n1", "n3"), ("n3", "n1"),
              ("n0", "n2")]
@@ -388,18 +396,18 @@ def test_search_skips_pairs_over_the_coefficient_cap(monkeypatch):
     bounds = SearchBounds(max_states=1000)
     rs = monoid_presentation(incidence(graph))
     k0, _ = torsion_order(rs.relation_rows(), (1,) * rs.num_generators)
-    find_scalar_witness((1,) * rs.num_generators, rs, 400, bounds, step=k0)
+    find_scalar_witness((1,) * rs.num_generators, rs, bounds, step=k0)
     spec = AlgebraSpec(kind=KIND_LEAVITT, graph=graph)
-    verdict = decide_imn(decide_ibn(spec, bounds, max_m=400))
+    verdict = decide_imn(decide_ibn(spec, bounds))
     assert roots and max(roots) <= bounds.max_total_coefficient
     assert verdict.route == "witness-construction"
     assert audit(verdict, spec)
 
 
-def _every_pair_in_order(vec, rs, max_m, bounds, step):
+def _every_pair_in_order(vec, rs, bounds, step):
     """The pair loop of find_scalar_witness before it skipped any pair:
     its witness or None, and the number of pairs searched."""
-    top = min(max_m, bounds.max_total_coefficient // sum(vec))
+    top = bounds.max_total_coefficient // sum(vec)
     searched = 0
     for m in range(1, top):
         for m_prime in range(m + step, top + 1, step):
@@ -429,9 +437,9 @@ def test_skipped_pairs_leave_the_search_result_unchanged(monkeypatch):
     for rule_add, bounds, pair in pinned:
         rs = RewriteSystem(tuple(f"n{i}" for i in range(len(rule_add[0]))), rule_add)
         x = (1,) * rs.num_generators
-        want, _ = _every_pair_in_order(x, rs, 10, bounds, 1)
+        want, _ = _every_pair_in_order(x, rs, bounds, 1)
         assert (want.m, want.m_prime) == pair
-        assert find_scalar_witness(x, rs, 10, bounds) == want
+        assert find_scalar_witness(x, rs, bounds) == want
 
     tried = []
     real = cohnibn.rewriting.decide_equivalent
@@ -460,11 +468,10 @@ def test_skipped_pairs_leave_the_search_result_unchanged(monkeypatch):
                 max_total_coefficient=rng.randint(sum(x), 40),
                 max_depth=rng.randint(1, 3),
             )
-            max_m = rng.randint(2, 16)
             step = rng.choice((1, k0))
-            want, searched = _every_pair_in_order(x, rs, max_m, bounds, step)
+            want, searched = _every_pair_in_order(x, rs, bounds, step)
             every += searched
-            assert find_scalar_witness(x, rs, max_m, bounds, step) == want
+            assert find_scalar_witness(x, rs, bounds, step) == want
             found += want is not None
     assert found and len(tried) < every / 2
 
@@ -475,7 +482,7 @@ def test_every_open_verdict_gives_k0_and_the_flag_to_raise():
     routes = set()
     for _ in range(150):
         spec = AlgebraSpec(kind=KIND_LEAVITT, graph=make_random_graph(rng))
-        verdict = decide_imn(decide_ibn(spec, tight, max_m=4))
+        verdict = decide_imn(decide_ibn(spec, tight))
         routes.add(verdict.route)
         assert audit(verdict, spec)
         if verdict.ibn == IBN_CERTIFIED:
@@ -485,18 +492,7 @@ def test_every_open_verdict_gives_k0_and_the_flag_to_raise():
             assert any("raise --max-" in n for n in verdict.notes)
         else:
             assert any("also refutes IMN" in n for n in verdict.notes)
-    assert {"certificate", "witness-construction", "torsion-bound"} <= routes
-
-
-def test_decide_ibn_rejects_max_m_below_two():
-    fam, x = family(2, 1)
-    for spec in (
-        AlgebraSpec(kind=KIND_COHN, graph=rose_two()),
-        AlgebraSpec(kind=KIND_LEAVITT, graph=rose_two()),
-        AlgebraSpec(kind=KIND_RELATIVE, graph=fam, x=x),
-    ):
-        with pytest.raises(OutOfRangeError):
-            decide_ibn(spec, max_m=1)
+    assert {"certificate", "witness-construction", "exhausted"} <= routes
 
 
 def test_infinite_order_without_certificate_is_an_invariant_violation(monkeypatch):

@@ -31,7 +31,7 @@ from cohnibn import (
     validate,
 )
 from cohnibn.cli import EXIT_INPUT, EXIT_OK, EXIT_REFUTED, EXIT_UNKNOWN, EXIT_USAGE
-from conftest import make_random_graph
+from conftest import LONG_WITNESS_ROWS, graph_from_rows, make_random_graph
 
 _PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -259,10 +259,11 @@ def test_cli_ibn_check_relative_uses_example_x(cli):
     assert code == EXIT_REFUTED
 
 
-def test_cli_ibn_check_max_m_below_two_is_a_usage_error(cli):
+def test_cli_ibn_check_has_no_max_m(cli):
+    # --max-coeff alone caps m' = 1 + k0; the removed --max-m is unknown.
     for source in (["--example", "r2"], ["--example", "relative-2-1"]):
         for algebra in ("cohn", "relative", "leavitt"):
-            for max_m in ("1", "0", "-5"):
+            for max_m in ("1", "6", "100"):
                 code, out, err = cli(
                     ["ibn-check", *source, "--algebra", algebra, "--max-m", max_m]
                 )
@@ -271,7 +272,8 @@ def test_cli_ibn_check_max_m_below_two_is_a_usage_error(cli):
 
 
 def test_cli_ibn_check_leavitt_roses(cli, tmp_path):
-    # R_n is one vertex with n loops: R ~ R^n, so [1] has order n - 1.
+    # R_n is one vertex with n loops: R ~ R^n, so [1] has order n - 1,
+    # and the least witness is R ~ R^n whatever n is.
     def rose(n):
         path = tmp_path / f"rose{n}.graph"
         path.write_text(
@@ -285,19 +287,11 @@ def test_cli_ibn_check_leavitt_roses(cli, tmp_path):
         )
         return code, json.loads(out)["result"]
 
-    for n in range(2, 7):
+    for n in range(2, 13):
         code, result = check(n)
-        assert code == EXIT_REFUTED
+        assert code == EXIT_REFUTED, n
         assert result["route"] == "witness-construction"
-        assert (result["witness"]["m"], result["witness"]["m_prime"]) == (1, n)
-    for n in (7, 8):
-        code, result = check(n)
-        assert code == EXIT_UNKNOWN
-        assert result["route"] == "torsion-bound"
         assert f"order of [1] in K0: k0={n - 1}" in result["notes"]
-        assert any(f"raise --max-m to {n}" in note for note in result["notes"])
-        code, result = check(n, "--max-m", str(n))
-        assert code == EXIT_REFUTED
         assert (result["witness"]["m"], result["witness"]["m_prime"]) == (1, n)
 
 
@@ -327,20 +321,26 @@ def test_cli_ibn_check_x_requires_relative(cli):
     assert code == EXIT_USAGE
 
 
-def _ibn_check_huge_bounds(args, stdin=None):
-    """Run ibn-check in a child process with --max-m and --max-coeff at
-    2**62, so that a hang fails the test at its timeout."""
+def _ibn_check_child(args, stdin=None, timeout=20):
+    """Run a Leavitt ibn-check with a JSON report in a child process, so
+    that a hang fails the test at its timeout."""
     src = Path(cohnibn.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
     )}
-    huge = str(2**62)
     wrapper = "import sys; from cohnibn.cli import main; sys.exit(main())"
     return subprocess.run(
         [sys.executable, "-c", wrapper, "ibn-check", *args,
-         "--algebra", "leavitt", "--max-m", huge, "--max-coeff", huge,
-         "--max-states", "1", "--format", "json"],
-        capture_output=True, env=env, timeout=20, input=stdin, text=True,
+         "--algebra", "leavitt", "--format", "json"],
+        capture_output=True, env=env, timeout=timeout, input=stdin, text=True,
+    )
+
+
+def _ibn_check_huge_bounds(args, stdin=None):
+    """ibn-check in a child process with --max-coeff at 2**62 and
+    --max-states 1."""
+    return _ibn_check_child(
+        [*args, "--max-coeff", str(2**62), "--max-states", "1"], stdin
     )
 
 
@@ -357,7 +357,7 @@ def test_cli_ibn_check_huge_bounds_finish(cli):
 def test_cli_fallback_search_with_huge_bounds_finishes(cli):
     # Rank-deficient relation rows and a constructed witness that breaks
     # --max-depth send ibn-check to the pair search; the pairs it tries
-    # must not grow with --max-m.
+    # must not grow with --max-coeff.
     graph = graph_from(
         ["u", "v", "w"],
         [("a", "u", "u"), ("b", "u", "u"), ("c", "u", "v"), ("d", "u", "v"),
@@ -370,6 +370,20 @@ def test_cli_fallback_search_with_huge_bounds_finishes(cli):
     assert json.loads(out.stdout)["result"]["route"] == "exhausted"
 
 
+def test_cli_long_constructed_witness_is_not_fired(cli):
+    # Raising --max-depth as the notes advise leaves --max-coeff broken,
+    # and the construction checks both before it fires millions of steps.
+    out = _ibn_check_child(
+        ["-", "--max-depth", "4867271"],
+        stdin=emit_graph_text(graph_from_rows(LONG_WITNESS_ROWS)), timeout=30,
+    )
+    assert out.returncode == EXIT_UNKNOWN, out.stderr
+    result = json.loads(out.stdout)["result"]
+    assert result["route"] == "exhausted"
+    assert ("constructed witness breaks --max-coeff=64: raise --max-coeff to "
+            "24672196") in result["notes"]
+
+
 def test_cli_ibn_check_json_report(cli):
     code, out, _ = cli(
         ["ibn-check", "--example", "r2", "--algebra", "cohn", "--format", "json"]
@@ -379,7 +393,8 @@ def test_cli_ibn_check_json_report(cli):
     assert report["status"] == "certified"
     assert report["result"]["certificate"]["weights"] == ["2", "-1"]
     assert report["result"]["bounds"]["max_states"] == 100000
-    assert report["result"]["bounds"]["max_m"] == 6
+    assert "max_m" not in report["result"]["bounds"]
+    assert "max_m" not in report["arguments"]
     assert report["result"]["audit"] == "pass"
 
     code, out, _ = cli(
@@ -641,7 +656,7 @@ def test_cli_reports_are_deterministic(cli):
 _COEFFS = st.sampled_from(["1", "0", str(2**62), "-5", str(2**62 + 1), str(2**63),
                            str(10**20), "", "x"])
 _SMALL = st.sampled_from(["7", "1", str(2**62), "0", "-5"])
-# --max-coeff 2**62 is left out: with --max-states 1 and --max-m 2**62 the
+# --max-coeff 2**62 is left out: with --max-depth 2**62 too, a fallback
 # witness search would try about 2**62 / |rho| values of m.
 _MAX_COEFF = st.sampled_from(["64", "1", "0", "-5", str(2**62 + 1), str(2**63),
                               str(10**20)])
@@ -674,12 +689,12 @@ def _cli_calls(draw):
                 f"--vec-a={draw(vectors)}", f"--vec-b={draw(vectors)}", *bounds]
     return ["ibn-check", "--example", example,
             "--algebra", draw(st.sampled_from(["cohn", "relative", "leavitt"])),
-            *_flag(draw, "--max-m", _SMALL), *bounds]
+            *bounds]
 
 
 @given(_cli_calls())
 @example(["ibn-check", "--example", "r2", "--algebra", "leavitt",
-          "--max-m", str(2**62), "--max-states", "1"])
+          "--max-coeff", str(2**62), "--max-states", "1"])
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_cli_fuzz_never_crashes(cli, argv):

@@ -9,8 +9,11 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cohnibn.rewriting
 from cohnibn import (
+    InternalInvariantViolation,
     LengthMismatchError,
+    ReductionTrace,
     SearchBounds,
     construct_scalar_witness,
     graph_from,
@@ -21,7 +24,7 @@ from cohnibn import (
     torsion_order,
 )
 from cohnibn.lattice import echelon_basis
-from conftest import make_random_graph
+from conftest import LONG_WITNESS_ROWS, graph_from_rows, make_random_graph
 from test_certificates import reference_weights
 
 
@@ -217,7 +220,7 @@ def test_certificate_or_replayable_torsion_witness(graph):
         return
     k, lam = torsion
     generous = SearchBounds(max_total_coefficient=10**9, max_depth=10**6)
-    built = construct_scalar_witness(rs, k, lam, max_m=10**6, bounds=generous)
+    built = construct_scalar_witness(rs, k, lam, bounds=generous)
     w = built.witness
     assert w is not None and built.needs == ()
     assert w.m_prime - w.m == k
@@ -239,8 +242,6 @@ def test_construction_reports_each_broken_bound():
     )
     assert tight.witness is None
     assert tight.needs == (("max_total_coefficient", 2),)
-    short = construct_scalar_witness(rs, k, lam, max_m=1)
-    assert short.witness is None and short.needs == (("max_m", 2),)
     with pytest.raises(LengthMismatchError):
         construct_scalar_witness(rs, k, (-1, 0))
 
@@ -255,5 +256,42 @@ def test_construction_reports_each_broken_bound():
     assert torsion_order(_relation_rows(incidence(g)), [1, 1]) == (3, (-3, -1))
     deep = construct_scalar_witness(rs, 3, (-3, -1), bounds=SearchBounds(max_depth=3))
     assert deep.witness is None and deep.needs == (("max_depth", 4),)
+    both = construct_scalar_witness(
+        rs, 3, (-3, -1), bounds=SearchBounds(max_total_coefficient=7, max_depth=3)
+    )
+    assert both.needs == (("max_total_coefficient", 8), ("max_depth", 4))
     w = construct_scalar_witness(rs, 3, (-3, -1)).witness
     assert (w.m, w.m_prime, w.descendant) == (1, 4, (4, 4))
+
+
+def test_construction_checks_its_bounds_before_firing(monkeypatch):
+    # The peak and the depth follow from the relation, so a witness that
+    # breaks either is never fired: here firing it would take millions of
+    # steps.
+    def no_firing(*args, **kwargs):
+        raise AssertionError("the construction fired past a broken bound")
+
+    monkeypatch.setattr(cohnibn.rewriting, "fire_greedily", no_firing)
+    rs = monoid_presentation(incidence(graph_from_rows(LONG_WITNESS_ROWS)))
+    rows = rs.relation_rows()
+    assert len(echelon_basis(rows)) < rs.num_rules
+    k, lam = torsion_order(rows, (1,) * rs.num_generators)
+    assert k == 1
+    built = construct_scalar_witness(rs, k, lam)
+    assert built.witness is None
+    assert built.needs == (("max_total_coefficient", 24672196), ("max_depth", 4867271))
+
+
+def test_construction_checks_the_fired_end_against_its_total(monkeypatch):
+    real = cohnibn.rewriting.fire_greedily
+
+    def one_more_unit(start, counts, rs):
+        trace = real(start, counts, rs)
+        end = (trace.end[0] + 1,) + trace.end[1:]
+        return ReductionTrace(trace.start, trace.steps + ((0, end),))
+
+    monkeypatch.setattr(cohnibn.rewriting, "fire_greedily", one_more_unit)
+    rs = monoid_presentation(incidence(rose_two()))
+    k, lam = torsion_order([[-1]], [1])
+    with pytest.raises(InternalInvariantViolation):
+        construct_scalar_witness(rs, k, lam)

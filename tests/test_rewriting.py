@@ -306,13 +306,14 @@ def test_find_scalar_witness_none_when_gamma_exists():
 def test_find_scalar_witness_none_in_cohn_presentation():
     rs = cohn_presentation(rose_two())
     rho_v = (1, 0)
-    assert find_scalar_witness(rho_v, rs, max_m=4) is None
+    # m' <= max_total_coefficient // |rho_v|: this tries every m' <= 4.
+    assert find_scalar_witness(rho_v, rs, SearchBounds(max_total_coefficient=4)) is None
 
 
 def test_find_scalar_witness_argument_checks():
     rs = monoid_presentation(incidence(rose_two()))
     with pytest.raises(OutOfRangeError):
-        find_scalar_witness((1,), rs, max_m=1)
+        find_scalar_witness((1,), rs, step=0)
     with pytest.raises(ZeroElementError):
         find_scalar_witness((0,), rs)
 
