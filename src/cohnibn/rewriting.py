@@ -15,8 +15,7 @@ rules that can fire from them (``settle_without_search``).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from itertools import chain
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -150,10 +149,11 @@ class ReductionTrace:
 
 @dataclass(frozen=True)
 class Closure:
-    """Reachable set of one element under forward rewriting."""
+    """Reachable set of one element, and the levels expanded to reach it."""
 
     elements: frozenset[Vector]
     truncated: bool
+    depth: int = 0
 
 
 @dataclass(frozen=True)
@@ -411,7 +411,7 @@ def forward_closure(
     add, dsum = _rule_arrays(rs)
     while side.can_expand(bounds):
         side.expand(add, dsum, bounds)
-    return Closure(elements=frozenset(side.vectors), truncated=side.truncated)
+    return Closure(frozenset(side.vectors), side.truncated, side.depth)
 
 
 def _nonzero_pair(
@@ -655,21 +655,19 @@ def find_scalar_witness(
     """Least pair m < m' with m*x equivalent to m'*x within bounds, or None.
 
     Only pairs with step | m' - m are tried.  Passing the order of [x] in
-    K0 loses nothing: m*x ~ m'*x forces (m' - m)[x] = 0 there.  No firing
-    lowers a total, so a pair whose m'*x is already over the coefficient
-    cap cannot join: m' <= max_total_coefficient // |x|.
+    K0 loses nothing: m*x ~ m'*x forces (m' - m)[x] = 0 there.  The sides
+    of decide_equivalent grow independently, so it joins m*x and m'*x
+    exactly when their forward closures meet; each closure is computed
+    once, and only the least pair that meets is searched, for its traces.
 
-    Pairs whose outcome is known are skipped, so the number searched does
-    not grow with max_total_coefficient.  Write D for max_depth and rise
-    for D times the largest change a rule makes to a total.  A join ends
-    both traces, of at most D firings each, at one total, so
-    (m' - m)*|x| <= rise.  When m > D and m'*|x| + rise is within the
-    coefficient cap, nothing is pruned, a rule at a generator in supp(x)
-    fires at every state either search reaches, and a rule at any other
-    generator fires at s exactly when it fires at s + x: the (m, m') search
-    is the (m-1, m'-1) search shifted by x, with the same states in the
-    same order, so it comes out the same, and that pair came first without
-    joining.
+    No firing lowers a total, so m' <= max_total_coefficient // |x|.  With
+    grow the largest change a rule makes to a total, a closure of m*x that
+    expands L levels stays within total m*|x| + L*grow, so m' <= m +
+    L*grow // |x|.  If also m >= L, every state it expands holds all of
+    supp(x), so while (m+j)*|x| + L*grow is within the cap (nothing is
+    pruned) the closure of (m+j)*x is it shifted by j*x.  Two such shifts
+    meet exactly when an earlier pair does, so the closures computed do
+    not grow with max_total_coefficient.
     """
     if step < 1:
         raise OutOfRangeError(f"step must be positive, got {step}")
@@ -678,28 +676,48 @@ def find_scalar_witness(
     if not any(vec):
         raise ZeroElementError("witness search requires a nonzero element")
     total = sum(vec)
-    depth = bounds.max_depth
-    rise = depth * max((sum(add) - 1 for add in rs.rule_add), default=0)
-    top = bounds.max_total_coefficient // total
-    gap = rise // total
-    # Past m = D only pairs with m' > unpruned are searched.
-    unpruned = (bounds.max_total_coefficient - rise) // total
-    low = range(1, min(depth + 1, top))
-    high = range(max(depth + 1, unpruned + 1 - gap), top)
-    for m in chain(low, high):
-        for m_prime in range(m + step, min(top, m + gap) + 1, step):
-            if m > depth and m_prime <= unpruned:
+    cap = bounds.max_total_coefficient
+    grow = max((sum(add) - 1 for add in rs.rule_add), default=0)
+    closures: dict[int, Closure] = {}
+    base, base_m = None, 0  # the first closure of m*x with m >= its depth
+
+    def shifted(m: int) -> bool:
+        return base is not None and base_m < m <= (cap - base.depth * grow) // total
+
+    def closure(m: int) -> Closure:
+        nonlocal base, base_m
+        if m not in closures:
+            if shifted(m):
+                shift = scale(vec, m - base_m)
+                moved = (tuple(c + s for c, s in zip(v, shift)) for v in base.elements)
+                closures[m] = replace(base, elements=frozenset(moved))
+            else:
+                closures[m] = forward_closure(scale(vec, m), rs, bounds)
+                if base is None and m >= closures[m].depth:
+                    base, base_m = closures[m], m
+        return closures[m]
+
+    m, top = 1, cap // total
+    while m < top:
+        here = closure(m)
+        reach = min(top, m + here.depth * grow // total)
+        for m_prime in range(m + step, reach + 1, step):
+            if m > base_m and shifted(m_prime):
+                continue  # both closures are shifts of an earlier pair's
+            if here.elements.isdisjoint(closure(m_prime).elements):
                 continue
-            outcome = decide_equivalent(scale(vec, m), scale(vec, m_prime), rs, bounds)
-            if outcome.status == EQUIVALENT:
-                return ScalarWitness(
-                    base=vec,
-                    m=m,
-                    m_prime=m_prime,
-                    descendant=outcome.descendant,
-                    trace_a=outcome.trace_a,
-                    trace_b=outcome.trace_b,
-                )
+            out = decide_equivalent(scale(vec, m), scale(vec, m_prime), rs, bounds)
+            if out.status != EQUIVALENT:
+                raise InternalInvariantViolation("closures meet but do not join")
+            return ScalarWitness(
+                vec, m, m_prime, out.descendant, out.trace_a, out.trace_b
+            )
+        m += 1
+        if base is not None and m > base_m:
+            # Past the base only pairs whose m' is pruned are left.
+            rise = base.depth * grow
+            m = max(m, (cap - rise) // total + 1 - rise // total)
+        closures = {k: c for k, c in closures.items() if k >= m}
     return None
 
 

@@ -30,7 +30,6 @@ from cohnibn import (
     f_line_graph,
     f_rose_two,
     family,
-    find_scalar_witness,
     gamma,
     incidence,
     line_graph,
@@ -280,12 +279,15 @@ def test_criterion_10_cohn_monoid_bookkeeping():
                 assert out.descendant[n + k] == counts_a.get(k, 0)
             pairs_checked += 1
 
-        # m' <= max_total_coefficient // |rho_V|: this tries every m' <= 4.
-        up_to_four = SearchBounds(max_states=100_000, max_total_coefficient=4 * n)
-        assert find_scalar_witness(rho_v, rs, up_to_four) is None
+        for m in range(1, 4):
+            for m_prime in range(m + 1, 5):
+                out = decide_equivalent(
+                    scale(rho_v, m), scale(rho_v, m_prime), rs, bounds
+                )
+                assert out.status != EQUIVALENT, (g, m, m_prime)
 
     print(f"PASS criterion 10: rule counts agree on {pairs_checked} "
-          "equivalent pairs; no m*rho_V ~ m'*rho_V up to m'=4")
+          "equivalent pairs; no m*rho_V ~ m'*rho_V up to maxM=4")
 
 
 def test_criterion_11_imn_inference():

@@ -371,10 +371,13 @@ def test_search_tries_only_pairs_the_order_allows(monkeypatch):
         return real(a, b, *args, **kwargs)
 
     monkeypatch.setattr(cohnibn.rewriting, "decide_equivalent", recording)
-    rs = monoid_presentation(incidence(_DEEP))
-    bounds = SearchBounds(max_states=1, max_total_coefficient=12)
-    find_scalar_witness((1, 1), rs, bounds, step=3)
-    assert tried == [(1, 4), (2, 5), (3, 6)]
+    # R_2 joins rho and 2*rho; a step of 2 or 3 must pass over that pair.
+    rs = monoid_presentation(incidence(_rose(2)))
+    found = [find_scalar_witness((1,), rs, step=step) for step in (1, 2, 3)]
+    assert [(w.m, w.m_prime) for w in found] == [(1, 2), (1, 3), (1, 4)]
+    # Pairs are tried on closures; only the least pair that meets is
+    # searched again, for its traces.
+    assert tried == [(1, 2), (1, 3), (1, 4)]
 
 
 def test_search_skips_pairs_over_the_coefficient_cap(monkeypatch):
@@ -386,13 +389,13 @@ def test_search_skips_pairs_over_the_coefficient_cap(monkeypatch):
     graph = graph_from([f"n{i}" for i in range(5)],
                        [(f"e{i}", s, d) for i, (s, d) in enumerate(edges)])
     roots = []
-    real = cohnibn.rewriting.decide_equivalent
+    real = cohnibn.rewriting.forward_closure
 
-    def recording(a, b, *args, **kwargs):
-        roots.append(max(sum(a), sum(b)))
-        return real(a, b, *args, **kwargs)
+    def recording(elem, *args, **kwargs):
+        roots.append(sum(elem))
+        return real(elem, *args, **kwargs)
 
-    monkeypatch.setattr(cohnibn.rewriting, "decide_equivalent", recording)
+    monkeypatch.setattr(cohnibn.rewriting, "forward_closure", recording)
     bounds = SearchBounds(max_states=1000)
     rs = monoid_presentation(incidence(graph))
     k0, _ = torsion_order(rs.relation_rows(), (1,) * rs.num_generators)

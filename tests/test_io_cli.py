@@ -384,6 +384,24 @@ def test_cli_long_constructed_witness_is_not_fired(cli):
             "24672196") in result["notes"]
 
 
+def test_cli_fallback_search_under_the_advised_coefficient_cap_finishes(cli):
+    # With the --max-coeff the notes name and the default depth and state
+    # caps, --max-depth still breaks and the rows are rank-deficient, so
+    # ibn-check searches pairs up to m' = 24672196 // 9.  Closures that are
+    # shifts of an earlier one are not searched again, so it finishes.
+    out = _ibn_check_child(
+        ["-", "--max-coeff", "24672196"],
+        stdin=emit_graph_text(graph_from_rows(LONG_WITNESS_ROWS)), timeout=180,
+    )
+    assert out.returncode == EXIT_UNKNOWN, out.stderr
+    result = json.loads(out.stdout)["result"]
+    assert result["route"] == "exhausted"
+    assert ("constructed witness breaks --max-depth=64: raise --max-depth to "
+            "4867271") in result["notes"]
+    assert ("witness search: no pair m < m' with k0 | m' - m joined within "
+            "bounds") in result["notes"]
+
+
 def test_cli_ibn_check_json_report(cli):
     code, out, _ = cli(
         ["ibn-check", "--example", "r2", "--algebra", "cohn", "--format", "json"]

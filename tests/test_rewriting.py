@@ -306,8 +306,10 @@ def test_find_scalar_witness_none_when_gamma_exists():
 def test_find_scalar_witness_none_in_cohn_presentation():
     rs = cohn_presentation(rose_two())
     rho_v = (1, 0)
-    # m' <= max_total_coefficient // |rho_v|: this tries every m' <= 4.
-    assert find_scalar_witness(rho_v, rs, SearchBounds(max_total_coefficient=4)) is None
+    for m in range(1, 4):
+        for m_prime in range(m + 1, 5):
+            out = decide_equivalent(scale(rho_v, m), scale(rho_v, m_prime), rs)
+            assert out.status != EQUIVALENT, (m, m_prime)
 
 
 def test_find_scalar_witness_argument_checks():
