@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from .certificates import gamma, serialize_weights, solve_exact
-from .construct import family, relative_companion
+from .construct import family, regular_subset, relative_companion
 from .decision import (
     AlgebraSpec,
     IBN_CERTIFIED,
@@ -205,7 +205,7 @@ def _emit_report(report: dict, ns, text: str) -> None:
 
 def _cmd_companion(ns) -> int:
     graph, x_default, source = _resolve_input(ns)
-    x = _parse_x(ns.x, default=())
+    x = regular_subset(graph, _parse_x(ns.x, default=()))
     companion = relative_companion(graph, x)
     matrix = incidence(companion.graph)
     digest = _digest(graph, x)
@@ -248,6 +248,7 @@ def _cmd_ibn_check(ns) -> int:
         if ns.x is not None:
             raise _UsageError("--x only applies to --algebra relative")
         x = ()
+    x = regular_subset(graph, x)
     spec = AlgebraSpec(kind=ns.algebra, graph=graph, x=x)
     bounds = _bounds(ns)
     verdict = decide_imn(decide_ibn(spec, bounds))

@@ -40,6 +40,24 @@ def _fresh(base: str, taken: set[str]) -> str:
     return name
 
 
+def regular_subset(graph: Graph, x: Iterable[str]) -> tuple[str, ...]:
+    """The set X as regular vertices of a validated graph, in vertex order.
+
+    Repeats are dropped, so every spelling of one set gives one tuple.
+    Raises NotRegularError for the first name in X that is a sink or
+    an unknown vertex.
+    """
+    parts = classify(graph)
+    regular_set = set(parts.regular)
+    x_set: set[str] = set()
+    for v in x:
+        if v not in regular_set:
+            kind = "sink" if v in parts.sinks else "unknown vertex"
+            raise NotRegularError(f"{v!r} is not a regular vertex ({kind})")
+        x_set.add(v)
+    return tuple(v for v in parts.regular if v in x_set)
+
+
 def relative_companion(graph: Graph, x: Iterable[str]) -> CompanionGraph:
     """Companion of a validated graph relative to a set X of regular vertices.
 
@@ -47,13 +65,8 @@ def relative_companion(graph: Graph, x: Iterable[str]) -> CompanionGraph:
     with range v is duplicated toward v'.  Raises NotRegularError if X
     contains a sink or an unknown name.
     """
-    x_set = set(x)
+    x_set = set(regular_subset(graph, x))
     parts = classify(graph)
-    regular_set = set(parts.regular)
-    for v in x_set:
-        if v not in regular_set:
-            kind = "sink" if v in parts.sinks else "unknown vertex"
-            raise NotRegularError(f"{v!r} is not a regular vertex ({kind})")
 
     duplicated = [v for v in parts.regular if v not in x_set]
     taken_vertices = set(graph.vertices)

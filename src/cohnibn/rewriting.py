@@ -10,6 +10,9 @@ equality (with replayable traces) but can refute it only when both
 reachability closures are complete.  Two checks refute without a search:
 a weight functional that separates the two sides, and the lattice of the
 rules that can fire from them (``settle_without_search``).
+
+numpy is imported inside the three functions that build or read the
+search's arrays, so that it loads only when a search runs.
 """
 
 from __future__ import annotations
@@ -17,8 +20,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterable, Sequence
-
-import numpy as np
 
 from .errors import (
     InternalInvariantViolation,
@@ -31,6 +32,8 @@ from .graphs import Graph, IncidenceMatrix, incidence
 from .lattice import separating_functional
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .certificates import WeightCertificate
 
 Vector = tuple[int, ...]
@@ -268,6 +271,8 @@ def expand_frontier(frontier, totals, rule_add, rule_dsum, max_total):
     rule fired[j] on frontier row parents[j], in (parent, rule) order;
     pruned counts applicable firings dropped for exceeding max_total.
     """
+    import numpy as np
+
     num_rows, width = frontier.shape
     num_rules = rule_add.shape[0]
     empty = (
@@ -342,6 +347,8 @@ class _Side:
         self, add: np.ndarray, dsum: np.ndarray, bounds: SearchBounds
     ) -> list[int]:
         """Expand one level; returns ids of states first seen here."""
+        import numpy as np
+
         frontier_vecs = np.array(
             [self.vectors[i] for i in self.frontier], dtype=np.int64
         )
@@ -391,6 +398,8 @@ class _Side:
 
 def _rule_arrays(rs: RewriteSystem) -> tuple[np.ndarray, np.ndarray]:
     """The rules as one int64 array, and the change each makes to a total."""
+    import numpy as np
+
     add = np.array(rs.rule_add, dtype=np.int64).reshape(
         rs.num_rules, rs.num_generators
     )

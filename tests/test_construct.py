@@ -18,6 +18,7 @@ from cohnibn import (
     rose_two,
     validate,
 )
+from cohnibn.construct import regular_subset
 from conftest import make_random_graph
 
 
@@ -99,6 +100,19 @@ def test_relative_companion_partial():
         (1, 2, 1),
         (0, 0, 0),
     )
+
+
+def test_regular_subset_is_vertex_ordered_without_repeats():
+    g, _ = family(3, 2)
+    for x in (("v2", "v3"), ("v3", "v2"), ("v3", "v2", "v3", "v2")):
+        assert regular_subset(g, x) == ("v2", "v3")
+        assert relative_companion(g, x) == relative_companion(g, ("v2", "v3"))
+    assert regular_subset(line_graph(), ()) == ()
+    # The first offending name is the one reported, whatever follows it.
+    with pytest.raises(NotRegularError, match="'w'.*sink"):
+        regular_subset(line_graph(), ("u", "w", "zz"))
+    with pytest.raises(NotRegularError, match="'zz'.*unknown"):
+        regular_subset(line_graph(), ("zz", "w"))
 
 
 def test_relative_companion_rejects_sink_in_x():

@@ -168,6 +168,35 @@ def test_cli_companion_with_x(cli):
     assert "not a regular vertex" in err
 
 
+def test_cli_x_spellings_give_one_report(cli):
+    # X is a set: the order and repeats of --x change neither the digest
+    # nor the echoed x, which follow the graph's vertex order.
+    cases = [
+        (["ibn-check", "--family", "3", "2", "--algebra", "relative"],
+         ["v2,v3", "v3,v2", "v3,v2,v3"], ["v2", "v3"]),
+        (["ibn-check", "--example", "r2", "--algebra", "relative"],
+         ["v", "v,v"], ["v"]),
+        (["companion", "--family", "3", "2"],
+         ["v2,v3", "v3,v2", "v3,v2,v3"], ["v2", "v3"]),
+    ]
+    for argv, spellings, x in cases:
+        for fmt in ("json", "text"):
+            runs = {
+                cli([*argv, "--x", spelling, "--format", fmt])
+                for spelling in spellings
+            }
+            assert len(runs) == 1, (argv, fmt)
+        _, out, _ = cli([*argv, "--x", spellings[-1], "--format", "json"])
+        report = json.loads(out)
+        assert report["arguments"]["x"] == x
+        if argv[0] == "ibn-check":
+            assert report["result"]["x"] == x
+
+    code, _, err = cli(["companion", "--example", "line", "--x", "u,u,w"])
+    assert code == EXIT_INPUT
+    assert "'w' is not a regular vertex (sink)" in err
+
+
 def test_cli_companion_from_file_and_stdin(cli, tmp_path, monkeypatch):
     path = tmp_path / "g.graph"
     path.write_text(emit_graph_text(rose_two()))

@@ -2,6 +2,7 @@
 and it is the only numpy code in the package."""
 
 import ast
+import json
 import os
 import random
 import subprocess
@@ -169,3 +170,48 @@ def test_only_the_rewriting_module_imports_numpy():
             if any(name.split(".")[0] == "numpy" for name in names):
                 importers.add(path.name)
     assert importers == {"rewriting.py"}
+
+
+_NO_SEARCH_COMMANDS = [
+    ["ibn-check", "--example", "r2", "--algebra", "leavitt"],
+    ["ibn-check", "--example", "r2", "--algebra", "cohn"],
+    ["ibn-check", "--family", "3", "1", "--algebra", "relative"],
+    ["companion", "--example", "r2"],
+    ["examples"],
+    ["family", "3", "1"],
+]
+_JOINED_PAIR = ["monoid-equiv", "--example", "f-r2", "-a", "1,2", "-b", "2,4"]
+
+
+def test_numpy_loads_only_when_a_search_runs(cli):
+    # A fresh interpreter runs every command that decides without a search
+    # and must not have loaded numpy; the first breadth-first search loads
+    # it.  Each command's exit code and output match the in-process run.
+    script = (
+        "import contextlib, io, json, sys\n"
+        "import cohnibn, cohnibn.cli\n"
+        "rows = [['import', 'numpy' in sys.modules]]\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        status = cohnibn.cli.main(argv)\n"
+        "    rows.append([argv, status, out.getvalue(), 'numpy' in sys.modules])\n"
+        "print(json.dumps(rows))\n"
+    )
+    src = Path(cohnibn.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
+    )}
+    commands = [*_NO_SEARCH_COMMANDS, _JOINED_PAIR]
+    run = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(commands)],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    rows = json.loads(run.stdout)
+    assert rows[0] == ["import", False]
+    assert [row[0] for row in rows[1:]] == commands
+    assert [row[3] for row in rows[1:]] == [False] * len(_NO_SEARCH_COMMANDS) + [True]
+    for argv, status, out, _ in rows[1:]:
+        code, here, _ = cli(argv)
+        assert (status, out) == (code, here), argv
+    assert "status: equivalent" in rows[-1][2]
