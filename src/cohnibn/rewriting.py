@@ -268,53 +268,20 @@ def expand_frontier(frontier, totals, rule_add, rule_dsum, max_total):
     ``rule_add`` holds one row per rule, rule k rewriting generator k, and
     ``rule_dsum[k]`` is the change rule k makes to a total.  Returns
     (children, parents, fired, pruned): children[j] is the result of firing
-    rule fired[j] on frontier row parents[j], in (parent, rule) order;
-    pruned counts applicable firings dropped for exceeding max_total.
+    rule fired[j] on frontier row parents[j]; pruned counts applicable
+    firings dropped for exceeding max_total.  The firings are taken from
+    one (parent, rule) grid by ``np.nonzero``, whose row-major order is
+    (parent, rule) order.
     """
     import numpy as np
 
-    num_rows, width = frontier.shape
-    num_rules = rule_add.shape[0]
-    empty = (
-        np.empty((0, width), dtype=np.int64),
-        np.empty(0, dtype=np.int64),
-        np.empty(0, dtype=np.int64),
-    )
-    if num_rules == 0 or num_rows == 0:
-        return (*empty, 0)
-
-    children_parts = []
-    parent_parts = []
-    fired_parts = []
-    pruned = 0
-    for k in range(num_rules):
-        applicable = frontier[:, k] > 0
-        if not applicable.any():
-            continue
-        within = totals + rule_dsum[k] <= max_total
-        pruned += int(np.count_nonzero(applicable & ~within))
-        keep = np.nonzero(applicable & within)[0]
-        if keep.size == 0:
-            continue
-        block = frontier[keep] + rule_add[k]
-        block[:, k] -= 1
-        children_parts.append(block)
-        parent_parts.append(keep)
-        fired_parts.append(np.full(keep.size, k, dtype=np.int64))
-
-    if not children_parts:
-        return (*empty, pruned)
-    children = np.concatenate(children_parts, axis=0)
-    parents = np.concatenate(parent_parts)
-    fired = np.concatenate(fired_parts)
-    # The blocks come out rule by rule; reorder them by (parent, rule).
-    order = np.lexsort((fired, parents))
-    return (
-        np.ascontiguousarray(children[order]),
-        parents[order],
-        fired[order],
-        pruned,
-    )
+    applicable = frontier[:, : rule_add.shape[0]] > 0
+    within = rule_dsum <= (max_total - totals)[:, None]
+    pruned = int(np.count_nonzero(applicable & ~within))
+    parents, fired = np.nonzero(applicable & within)
+    children = frontier[parents] + rule_add[fired]
+    children[np.arange(fired.size), fired] -= 1
+    return children, parents, fired, pruned
 
 
 class _Side:
@@ -322,7 +289,6 @@ class _Side:
 
     def __init__(self, root: Vector):
         self.vectors: list[Vector] = [root]
-        self.totals: list[int] = [sum(root)]
         self.parent: list[int] = [-1]
         self.fired: list[int] = [-1]
         self.seen: dict[Vector, int] = {root: 0}
@@ -352,12 +318,9 @@ class _Side:
         frontier_vecs = np.array(
             [self.vectors[i] for i in self.frontier], dtype=np.int64
         )
-        frontier_totals = np.array(
-            [self.totals[i] for i in self.frontier], dtype=np.int64
-        )
         children, parents, fired, pruned = expand_frontier(
             frontier_vecs,
-            frontier_totals,
+            frontier_vecs.sum(axis=1),
             add,
             dsum,
             bounds.max_total_coefficient,
@@ -365,8 +328,7 @@ class _Side:
         if pruned:
             self.truncated = True
         new_ids: list[int] = []
-        rows = children.tolist()
-        for j, row in enumerate(rows):
+        for row, p, k in zip(children.tolist(), parents.tolist(), fired.tolist()):
             key = tuple(row)
             if key in self.seen:
                 continue
@@ -377,9 +339,8 @@ class _Side:
             node = len(self.vectors)
             self.seen[key] = node
             self.vectors.append(key)
-            self.totals.append(int(frontier_totals[parents[j]] + dsum[fired[j]]))
-            self.parent.append(self.frontier[parents[j]])
-            self.fired.append(int(fired[j]))
+            self.parent.append(self.frontier[p])
+            self.fired.append(k)
             new_ids.append(node)
         self.frontier = [] if self.capped else new_ids
         self.depth += 1

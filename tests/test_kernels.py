@@ -52,7 +52,7 @@ _BACKENDS = [("numpy", expand_frontier), ("loops", _expand_frontier_loops)]
 def _random_case(rng):
     g = cohn_companion(make_random_graph(rng, max_vertices=4, max_edges=8)).graph
     rs = monoid_presentation(incidence(g))
-    rows = rng.randint(0, 6)
+    rows = rng.randint(0, 64)
     frontier = np.array(
         [[rng.randint(0, 4) for _ in range(rs.num_generators)] for _ in range(rows)],
         dtype=np.int64,

@@ -1,6 +1,7 @@
 """Rewrite systems, closures, equivalence search, normal forms, witnesses."""
 
 import dataclasses
+import random
 
 import pytest
 
@@ -16,6 +17,7 @@ from cohnibn import (
     ZeroElementError,
     as_vector,
     check_lattice_separation,
+    cohn_companion,
     cohn_presentation,
     decide_equivalent,
     f_line_graph,
@@ -35,6 +37,7 @@ from cohnibn import (
     validate,
 )
 from cohnibn.errors import LengthMismatchError
+from conftest import make_random_graph
 
 
 def _f_r2_system():
@@ -167,6 +170,49 @@ def test_forward_closure_respects_state_cap():
     )
     assert closure.truncated
     assert len(closure.elements) <= 3
+
+
+def _closure_by_sets(elem, rs, bounds):
+    """Breadth-first closure on plain sets, one level per round of one_step."""
+    seen = {tuple(elem)}
+    level = [tuple(elem)]
+    depth = 0
+    truncated = False
+    while level:
+        if depth >= bounds.max_depth:
+            truncated = True
+            break
+        nxt = []
+        for vec in level:
+            for succ in one_step(vec, rs):
+                if sum(succ) > bounds.max_total_coefficient:
+                    truncated = True
+                elif succ not in seen:
+                    seen.add(succ)
+                    nxt.append(succ)
+        level = nxt
+        depth += 1
+    return seen, depth, truncated
+
+
+def test_forward_closure_matches_a_set_based_search():
+    # Tight coefficient and depth caps, and no state cap in reach: which
+    # states survive that cap depends on the order they are found in.
+    rng = random.Random(19)
+    for _ in range(40):
+        g = make_random_graph(rng, max_vertices=5, max_edges=10)
+        for graph in (g, cohn_companion(g).graph):
+            rs = monoid_presentation(incidence(graph))
+            elem = [rng.randint(0, 3) for _ in range(rs.num_generators)]
+            bounds = SearchBounds(
+                max_total_coefficient=max(1, sum(elem) + rng.randint(0, 12)),
+                max_depth=rng.randint(1, 8),
+            )
+            closure = forward_closure(elem, rs, bounds)
+            elements, depth, truncated = _closure_by_sets(elem, rs, bounds)
+            assert len(elements) < bounds.max_states
+            assert closure.elements == elements
+            assert (closure.depth, closure.truncated) == (depth, truncated)
 
 
 def test_search_bounds_must_be_positive():
