@@ -44,7 +44,6 @@ from .construct import (
     PRIME,
     CompanionGraph,
     cohn_companion,
-    companion_incidence,
     family,
     relative_companion,
 )
@@ -129,7 +128,7 @@ __all__ = [
     "graph_from", "validate", "classify", "incidence",
     # constructions
     "PRIME", "CompanionGraph", "cohn_companion", "relative_companion",
-    "companion_incidence", "family",
+    "family",
     # rewriting
     "EQUIVALENT", "NOT_EQUIVALENT", "UNKNOWN",
     "RewriteSystem", "SearchBounds", "ReductionTrace", "Closure",

@@ -31,9 +31,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
-from .construct import companion_incidence
+from .construct import cohn_companion
 from .errors import LengthMismatchError
-from .graphs import IncidenceMatrix
+from .graphs import Graph, incidence
 from .lattice import echelon_basis, separating_functional
 
 if TYPE_CHECKING:
@@ -96,20 +96,20 @@ def verify_certificate(cert: WeightCertificate, rs: "RewriteSystem") -> bool:
     return True
 
 
-def companion_rank_check(matrix: IncidenceMatrix) -> bool:
+def companion_rank_check(graph: Graph) -> bool:
     """Verify the rank argument that makes companion systems solvable.
 
-    Builds the weight system of the full companion of ``matrix`` over the
-    integers, checks its rank is exactly t+1, then redoes the column
+    Builds the weight system of ``cohn_companion(graph)`` over the
+    integers (E's n vertices, regular first, then a fresh sink per
+    regular), checks its rank is exactly t+1, then redoes the column
     reduction that explains why: subtracting column i from column n+i
     leaves unit columns in the duplicated block, so the last t+1 columns
     are independent.  Ranks are the lengths of echelon bases.
     """
-    n = matrix.size
+    matrix = incidence(cohn_companion(graph).graph)
     t = matrix.num_regular
-    if n == 0:
-        return False
-    rows = [[1] * (n + t), *map(list, companion_incidence(matrix).entries[:t])]
+    n = matrix.size - t
+    rows = [[1] * (n + t), *map(list, matrix.entries[:t])]
     for i in range(t):
         rows[i + 1][i] -= 1
     if len(echelon_basis(rows)) != t + 1:

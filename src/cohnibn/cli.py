@@ -515,6 +515,14 @@ def main(argv=None) -> int:
     except (CohnIbnError, OSError, ValueError) as exc:
         print(f"cohnibn: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except MemoryError:
+        pass  # reported below, once the failed call's frames are freed
+    print(
+        "cohnibn: error: out of memory: lower --max-coeff, --max-depth or "
+        "--max-states",
+        file=sys.stderr,
+    )
+    return EXIT_INPUT
 
 
 if __name__ == "__main__":

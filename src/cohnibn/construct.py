@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import NotRegularError, OutOfRangeError
-from .graphs import Edge, Graph, IncidenceMatrix, classify, graph_from, validate
+from .graphs import Edge, Graph, classify, graph_from, validate
 
 PRIME = "'"
 
@@ -98,30 +98,6 @@ def relative_companion(graph: Graph, x: Iterable[str]) -> CompanionGraph:
 def cohn_companion(graph: Graph) -> CompanionGraph:
     """Companion with no exceptional vertices: one fresh sink per regular."""
     return relative_companion(graph, ())
-
-
-def companion_incidence(matrix: IncidenceMatrix) -> IncidenceMatrix:
-    """Incidence matrix of the full companion, assembled blockwise.
-
-    For a matrix with n vertices and t regular rows, the result is
-    (n+t) x (n+t): regular row i becomes (row_i | first t entries of
-    row_i) and all other rows are zero.  Matches building the companion
-    graph and taking its incidence matrix.
-    """
-    t = matrix.num_regular
-    zero = (0,) * (matrix.size + t)
-    block = tuple(row + row[:t] for row in matrix.entries[:t])
-    taken = set(matrix.order)
-    new_names = []
-    for v in matrix.order[:t]:
-        name = _fresh(v, taken)
-        taken.add(name)
-        new_names.append(name)
-    return IncidenceMatrix(
-        order=matrix.order + tuple(new_names),
-        entries=block + (zero,) * matrix.size,
-        num_regular=t,
-    )
 
 
 def family(n: int, m: int) -> tuple[Graph, tuple[str, ...]]:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
+from graphlib import CycleError, TopologicalSorter
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import (
@@ -284,6 +285,11 @@ def expand_frontier(frontier, totals, rule_add, rule_dsum, max_total):
     return children, parents, fired, pruned
 
 
+# A level fires at most this many child cells (rows x rules x generators)
+# at once, 32 MB of int64, so a level's memory follows the state cap.
+_BLOCK_CELLS = 2**22
+
+
 class _Side:
     """Breadth-first closure of one element, grown level by level."""
 
@@ -312,36 +318,40 @@ class _Side:
     def expand(
         self, add: np.ndarray, dsum: np.ndarray, bounds: SearchBounds
     ) -> list[int]:
-        """Expand one level; returns ids of states first seen here."""
+        """Expand one level; returns ids of states first seen here.
+
+        The frontier fires in blocks of rows whose children fill at most
+        _BLOCK_CELLS cells, in (parent, rule) order, and the level stops
+        after the block in which the state cap is reached.
+        """
         import numpy as np
 
-        frontier_vecs = np.array(
-            [self.vectors[i] for i in self.frontier], dtype=np.int64
-        )
-        children, parents, fired, pruned = expand_frontier(
-            frontier_vecs,
-            frontier_vecs.sum(axis=1),
-            add,
-            dsum,
-            bounds.max_total_coefficient,
-        )
-        if pruned:
-            self.truncated = True
+        block = max(1, _BLOCK_CELLS // max(1, add.size))
         new_ids: list[int] = []
-        for row, p, k in zip(children.tolist(), parents.tolist(), fired.tolist()):
-            key = tuple(row)
-            if key in self.seen:
-                continue
-            if len(self.vectors) >= bounds.max_states:
+        for start in range(0, len(self.frontier), block):
+            ids = self.frontier[start : start + block]
+            vecs = np.array([self.vectors[i] for i in ids], dtype=np.int64)
+            children, parents, fired, pruned = expand_frontier(
+                vecs, vecs.sum(axis=1), add, dsum, bounds.max_total_coefficient
+            )
+            if pruned:
                 self.truncated = True
-                self.capped = True
+            for row, p, k in zip(children.tolist(), parents.tolist(), fired.tolist()):
+                key = tuple(row)
+                if key in self.seen:
+                    continue
+                if len(self.vectors) >= bounds.max_states:
+                    self.truncated = True
+                    self.capped = True
+                    break
+                node = len(self.vectors)
+                self.seen[key] = node
+                self.vectors.append(key)
+                self.parent.append(ids[p])
+                self.fired.append(k)
+                new_ids.append(node)
+            if self.capped:
                 break
-            node = len(self.vectors)
-            self.seen[key] = node
-            self.vectors.append(key)
-            self.parent.append(self.frontier[p])
-            self.fired.append(k)
-            new_ids.append(node)
         self.frontier = [] if self.capped else new_ids
         self.depth += 1
         return new_ids
@@ -576,36 +586,24 @@ def normal_form(elem: Sequence[int], rs: RewriteSystem) -> Vector:
     Terminates exactly when no rewritable generator feeds back into a
     rewritable generator cycle; in that case the result has coefficient
     zero at every rewritable generator and does not depend on firing
-    order.  Raises NonTerminatingError on a dependency cycle.
+    order.  Raises NonTerminatingError, naming a generator on a
+    dependency cycle, when there is one.
     """
     vec = as_vector(elem, rs)
-    t = rs.num_rules
-
-    # depends[k] holds the rules whose generators appear in k's
-    # replacement; firing k feeds those generators.
-    depends = [[j for j in range(t) if add[j] > 0] for add in rs.rule_add]
-
-    # Cycle check plus topological order (dependers fire first).
-    state = [0] * t  # 0 unvisited, 1 on stack, 2 done
-    order: list[int] = []
-
-    def visit(k: int) -> None:
-        if state[k] == 1:
-            raise NonTerminatingError(
-                f"rewriting does not terminate: generator "
-                f"{rs.generators[k]!r} feeds back into itself"
-            )
-        if state[k] == 2:
-            return
-        state[k] = 1
-        for nxt in depends[k]:
-            visit(nxt)
-        state[k] = 2
-        order.append(k)
-
-    for k in range(t):
-        visit(k)
-    order.reverse()
+    # Firing rule k feeds the rules whose generators appear in its
+    # replacement, so each rule lists those as predecessors, and the
+    # reversed order fires every feeder before the rules it feeds.
+    sorter = TopologicalSorter(
+        {k: [j for j, c in enumerate(add[: rs.num_rules]) if c]
+         for k, add in rs.rules()}
+    )
+    try:
+        order = list(sorter.static_order())[::-1]
+    except CycleError as exc:
+        raise NonTerminatingError(
+            f"rewriting does not terminate: generator "
+            f"{rs.generators[exc.args[1][0]]!r} feeds back into itself"
+        ) from None
 
     current = list(vec)
     for k in order:

@@ -9,7 +9,6 @@ from cohnibn import (
     WeightCertificate,
     classify,
     cohn_companion,
-    companion_incidence,
     companion_rank_check,
     f_line_graph,
     f_rose_two,
@@ -158,30 +157,30 @@ def test_companion_system_solvable_on_random_graphs():
     rng = random.Random(31)
     for _ in range(40):
         g = make_random_graph(rng)
-        matrix = incidence(g)
-        cert = solve_exact(monoid_presentation(companion_incidence(matrix)))
+        comp_rs = monoid_presentation(incidence(cohn_companion(g).graph))
+        cert = solve_exact(comp_rs)
         assert cert is not None
-        comp_rs = monoid_presentation(companion_incidence(matrix))
         assert verify_certificate(cert, comp_rs)
         assert gamma(cert, (1,) * len(cert.generators)) == 1
 
 
 def test_edgeless_graph_certificate_and_rank():
-    matrix = incidence(validate(graph_from(["a", "b"])))
+    graph = validate(graph_from(["a", "b"]))
+    matrix = incidence(graph)
     cert = solve_exact(monoid_presentation(matrix))
     assert verify_certificate(cert, monoid_presentation(matrix))
-    assert companion_rank_check(matrix)
+    assert companion_rank_check(graph)
 
 
 def test_companion_rank_check_on_corpus(corpus):
     for name, graph, _ in corpus:
-        assert companion_rank_check(incidence(graph)), name
+        assert companion_rank_check(graph), name
 
 
 def test_companion_rank_check_random():
     rng = random.Random(37)
     for _ in range(40):
-        assert companion_rank_check(incidence(make_random_graph(rng)))
+        assert companion_rank_check(make_random_graph(rng))
 
 
 def test_serialize_and_parse_weights_round_trip():

@@ -9,7 +9,6 @@ from cohnibn import (
     OutOfRangeError,
     classify,
     cohn_companion,
-    companion_incidence,
     family,
     graph_from,
     incidence,
@@ -131,16 +130,6 @@ def test_iterated_companion_gets_fresh_names():
     # v' is taken, so the new sink for v picks up a second prime.
     assert twice.graph.vertices == ("v", "v'", "v''")
     assert len(twice.new_vertices) == len(classify(once).regular)
-
-
-def test_companion_incidence_matches_graph_construction():
-    rng = random.Random(23)
-    graphs = [line_graph(), rose_two(), family(3, 2)[0]]
-    graphs += [make_random_graph(rng) for _ in range(30)]
-    for g in graphs:
-        from_blocks = companion_incidence(incidence(g))
-        from_graph = incidence(cohn_companion(g).graph)
-        assert from_blocks == from_graph
 
 
 def test_family_structure():

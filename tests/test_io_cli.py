@@ -3,6 +3,8 @@
 import json
 import os
 import random
+import re
+import resource
 import shutil
 import subprocess
 import sys
@@ -34,6 +36,7 @@ from cohnibn.cli import EXIT_INPUT, EXIT_OK, EXIT_REFUTED, EXIT_UNKNOWN, EXIT_US
 from conftest import LONG_WITNESS_ROWS, graph_from_rows, make_random_graph
 
 _PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+_README = _PYPROJECT.with_name("README.md")
 
 
 # ---------------------------------------------------------------- parsing
@@ -350,18 +353,24 @@ def test_cli_ibn_check_x_requires_relative(cli):
     assert code == EXIT_USAGE
 
 
-def _ibn_check_child(args, stdin=None, timeout=20):
+def _ibn_check_child(args, stdin=None, timeout=20, address_limit=None):
     """Run a Leavitt ibn-check with a JSON report in a child process, so
-    that a hang fails the test at its timeout."""
+    that a hang fails the test at its timeout; ``address_limit`` caps the
+    child's address space in bytes."""
     src = Path(cohnibn.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
     )}
     wrapper = "import sys; from cohnibn.cli import main; sys.exit(main())"
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (address_limit, address_limit))
+
     return subprocess.run(
         [sys.executable, "-c", wrapper, "ibn-check", *args,
          "--algebra", "leavitt", "--format", "json"],
         capture_output=True, env=env, timeout=timeout, input=stdin, text=True,
+        preexec_fn=limit if address_limit else None,
     )
 
 
@@ -411,6 +420,22 @@ def test_cli_long_constructed_witness_is_not_fired(cli):
     assert result["route"] == "exhausted"
     assert ("constructed witness breaks --max-coeff=64: raise --max-coeff to "
             "24672196") in result["notes"]
+
+
+def test_cli_out_of_memory_is_an_input_error(cli):
+    # The bounds the notes advise fit a witness of 4,867,271 firings per
+    # side, which does not fit in 256 MB; start-up needs about 20 MB.
+    out = _ibn_check_child(
+        ["-", "--max-coeff", "24672196", "--max-depth", "4867271"],
+        stdin=emit_graph_text(graph_from_rows(LONG_WITNESS_ROWS)), timeout=60,
+        address_limit=256 << 20,
+    )
+    assert out.returncode == EXIT_INPUT, out.stderr
+    assert out.stdout == "" and "Traceback" not in out.stderr
+    assert out.stderr == (
+        "cohnibn: error: out of memory: lower --max-coeff, --max-depth or "
+        "--max-states\n"
+    )
 
 
 def test_cli_fallback_search_under_the_advised_coefficient_cap_finishes(cli):
@@ -682,6 +707,22 @@ def test_console_script_is_installed():
         installed = subprocess.run([script, "examples"], capture_output=True)
         assert installed.returncode == 0
         assert installed.stdout == out.stdout
+
+
+def test_readme_library_section_holds():
+    # The "Library" code block runs as written, and every name its list of
+    # lower-level pieces gives is exported from cohnibn; the echelon basis
+    # it names as not exported is not.
+    section = _README.read_text().split("\n## Library\n")[1].split("\n## ")[0]
+    exec(section.split("```python\n")[1].split("```")[0], {})
+    listed = section.split("Lower-level pieces are exported too:")[1]
+    listed, _, unexported = listed.split("\n\n")[0].partition("The echelon")
+    names = re.findall(r"`(\w+)`", listed)
+    assert len(names) >= 15
+    assert [name for name in names if not hasattr(cohnibn, name)] == []
+    assert "`cohnibn.lattice.echelon_basis`; it is not exported" in unexported
+    assert callable(cohnibn.lattice.echelon_basis)
+    assert not hasattr(cohnibn, "echelon_basis")
 
 
 def test_cli_reports_are_deterministic(cli):

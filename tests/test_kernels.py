@@ -10,9 +10,19 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import cohnibn
-from cohnibn import cohn_companion, incidence, monoid_presentation
+from cohnibn import (
+    SearchBounds,
+    cohn_companion,
+    decide_equivalent,
+    forward_closure,
+    incidence,
+    monoid_presentation,
+    one_step,
+)
+from cohnibn import rewriting
 from cohnibn.rewriting import _rule_arrays, expand_frontier
 from conftest import make_random_graph
 
@@ -127,6 +137,52 @@ def test_zero_rules_and_empty_frontier():
     for name, fn in _BACKENDS:
         children, parents, fired, pruned = fn(empty, etot, add2, dsum2, 10)
         assert children.shape == (0, 2) and pruned == 0, name
+
+
+def _capped_searches(seed):
+    """forward_closure and decide_equivalent on seeded random systems, with
+    state caps that often stop a level part way through."""
+    rng = random.Random(seed)
+    runs = []
+    for _ in range(80):
+        g = cohn_companion(make_random_graph(rng, max_vertices=4, max_edges=8)).graph
+        rs = monoid_presentation(incidence(g))
+        a, b = ([1] + [rng.randint(0, 1) for _ in range(rs.num_generators - 1)]
+                for _ in range(2))
+        fired = tuple(a)  # a descendant of a, joined through wide levels
+        for _ in range(rng.randint(2, 8)):
+            fired = rng.choice(one_step(fired, rs) or (fired,))
+        bounds = SearchBounds(
+            max_states=rng.randint(2, 60),
+            max_total_coefficient=rng.randint(8, 40),
+            max_depth=rng.randint(2, 16),
+        )
+        runs.append((bounds, forward_closure(a, rs, bounds),
+                     decide_equivalent(a, b, rs, bounds),
+                     decide_equivalent(a, fired, rs, bounds)))
+    return runs
+
+
+@pytest.mark.parametrize("cells", [1, 64])
+def test_levels_fired_in_blocks_match_whole_levels(monkeypatch, cells):
+    # Equal closures and outcomes, traces included, whether a level fires
+    # at once or a few rows at a time; no call fires more cells than the
+    # block allows, unless one row alone needs more.
+    sizes = []
+
+    def recording(frontier, totals, rule_add, rule_dsum, max_total):
+        sizes.append((frontier.shape[0] * rule_add.size, rule_add.size))
+        return expand_frontier(frontier, totals, rule_add, rule_dsum, max_total)
+
+    monkeypatch.setattr(rewriting, "expand_frontier", recording)
+    whole = _capped_searches(3)
+    whole_calls = len(sizes)
+    assert sum(len(c.elements) == b.max_states for b, c, *_ in whole) >= 10
+    sizes.clear()
+    monkeypatch.setattr(rewriting, "_BLOCK_CELLS", cells)
+    assert _capped_searches(3) == whole
+    assert len(sizes) > whole_calls
+    assert all(size <= max(cells, row) for size, row in sizes)
 
 
 def test_search_results_identical_across_backends():

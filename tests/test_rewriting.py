@@ -329,6 +329,25 @@ def test_normal_form_raises_on_cycles():
     rs = monoid_presentation(incidence(rose_two()))
     with pytest.raises(NonTerminatingError):
         normal_form((1,), rs)
+    # u feeds the cycle v -> w -> v without lying on it; the error names a
+    # generator on the cycle.
+    g = validate(graph_from(
+        ["u", "v", "w"], [("a", "u", "v"), ("b", "v", "w"), ("c", "w", "v")]
+    ))
+    with pytest.raises(NonTerminatingError, match="generator '[vw]' feeds back"):
+        normal_form((1, 0, 0), monoid_presentation(incidence(g)))
+
+
+def test_normal_form_of_a_long_path():
+    # The firing order is sorted without recursion, so a dependency chain
+    # of 5,000 rules needs no deeper a stack than a short one.
+    n = 5000
+    vertices = [f"v{i}" for i in range(n)]
+    path = validate(graph_from(
+        vertices, [(f"e{i}", vertices[i], vertices[i + 1]) for i in range(n - 1)]
+    ))
+    rs = monoid_presentation(incidence(path))
+    assert normal_form((1,) * n, rs) == (0,) * (n - 1) + (n,)
 
 
 def test_scale():
