@@ -24,7 +24,6 @@ from .errors import (
     GraphParseError,
     InternalInvariantViolation,
     LengthMismatchError,
-    NonTerminatingError,
     NotRegularError,
     OutOfRangeError,
     UnknownExampleError,
@@ -67,15 +66,12 @@ from .rewriting import (
     find_scalar_witness,
     forward_closure,
     monoid_presentation,
-    normal_form,
-    one_step,
     scale,
     settle_without_search,
 )
 from .lattice import separating_functional, torsion_order
 from .certificates import (
     WeightCertificate,
-    companion_rank_check,
     gamma,
     parse_weights,
     serialize_weights,
@@ -121,8 +117,8 @@ __all__ = [
     # errors
     "CohnIbnError", "GraphError", "DuplicateNameError", "DanglingEdgeError",
     "EmptyGraphError", "NotRegularError", "OutOfRangeError",
-    "LengthMismatchError", "ZeroElementError", "NonTerminatingError",
-    "InternalInvariantViolation", "GraphParseError", "UnknownExampleError",
+    "LengthMismatchError", "ZeroElementError", "InternalInvariantViolation",
+    "GraphParseError", "UnknownExampleError",
     # graphs
     "Edge", "Graph", "VertexClassification", "IncidenceMatrix",
     "graph_from", "validate", "classify", "incidence",
@@ -133,15 +129,15 @@ __all__ = [
     "EQUIVALENT", "NOT_EQUIVALENT", "UNKNOWN",
     "RewriteSystem", "SearchBounds", "ReductionTrace", "Closure",
     "EquivalenceOutcome", "ScalarWitness", "Construction", "as_vector",
-    "scale", "monoid_presentation", "cohn_presentation", "one_step",
-    "forward_closure", "decide_equivalent", "normal_form",
+    "scale", "monoid_presentation", "cohn_presentation", "forward_closure",
+    "decide_equivalent",
     "find_scalar_witness", "construct_scalar_witness",
     "LatticeSeparation", "settle_without_search", "check_lattice_separation",
     # lattice
     "torsion_order", "separating_functional",
     # certificates
     "WeightCertificate", "solve_exact", "gamma", "verify_certificate",
-    "companion_rank_check", "serialize_weights", "parse_weights",
+    "serialize_weights", "parse_weights",
     # decision
     "KIND_COHN", "KIND_RELATIVE", "KIND_LEAVITT",
     "IBN_CERTIFIED", "IBN_REFUTED", "IBN_UNKNOWN", "IMN_HOLDS", "IMN_UNKNOWN",

@@ -22,6 +22,10 @@ that vanishes off the pivot columns of the stacked matrix [rho; R]:
   it does not.  q is the free column ``separating_functional`` sets to 1,
   and it sets the other free columns to 0.
 
+For a Cohn algebra the system is always solvable: on the companion graph
+the sum row and the t relation rows have rank t+1, as subtracting each
+regular vertex's column from that of its fresh sink leaves t unit columns.
+
 There is no floating point in this module.
 """
 
@@ -31,10 +35,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
-from .construct import cohn_companion
 from .errors import LengthMismatchError
-from .graphs import Graph, incidence
-from .lattice import echelon_basis, separating_functional
+from .lattice import separating_functional
 
 if TYPE_CHECKING:
     from .rewriting import RewriteSystem
@@ -94,37 +96,6 @@ def verify_certificate(cert: WeightCertificate, rs: "RewriteSystem") -> bool:
         if cert.weights[gen] != gamma(cert, replacement):
             return False
     return True
-
-
-def companion_rank_check(graph: Graph) -> bool:
-    """Verify the rank argument that makes companion systems solvable.
-
-    Builds the weight system of ``cohn_companion(graph)`` over the
-    integers (E's n vertices, regular first, then a fresh sink per
-    regular), checks its rank is exactly t+1, then redoes the column
-    reduction that explains why: subtracting column i from column n+i
-    leaves unit columns in the duplicated block, so the last t+1 columns
-    are independent.  Ranks are the lengths of echelon bases.
-    """
-    matrix = incidence(cohn_companion(graph).graph)
-    t = matrix.num_regular
-    n = matrix.size - t
-    rows = [[1] * (n + t), *map(list, matrix.entries[:t])]
-    for i in range(t):
-        rows[i + 1][i] -= 1
-    if len(echelon_basis(rows)) != t + 1:
-        return False
-    reduced = [r[:] for r in rows]
-    for j in range(t):
-        for r in range(t + 1):
-            reduced[r][n + j] -= reduced[r][j]
-    for j in range(t):
-        for r in range(t + 1):
-            expected = 1 if r == j + 1 else 0
-            if reduced[r][n + j] != expected:
-                return False
-    block = [[reduced[r][c] for c in range(n - 1, n + t)] for r in range(t + 1)]
-    return len(echelon_basis(block)) == t + 1
 
 
 def serialize_weights(cert: WeightCertificate) -> tuple[str, ...]:

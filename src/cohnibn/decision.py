@@ -206,9 +206,16 @@ def decide_ibn(
 def decide_imn(verdict: Verdict) -> Verdict:
     """Fill the IMN field.
 
-    A certificate forces the class of the algebra to have infinite order
-    in K-theory, which is exactly what Invariant Matrix Number needs; no
-    inference is available in the refuted or unknown cases.
+    IMN says that M_m(R) ~ M_m'(R) as rings forces m = m'.  Through the
+    Morita equivalences M_k(R) ~ R, such an isomorphism is an automorphism
+    of K0(R) taking m[1] to m'[1].  K0 of the target is Z^vertices modulo
+    the relation rows, and a certificate exists exactly when [1] has
+    infinite order there.  An automorphism keeps the largest d dividing
+    an element's image in the torsion-free quotient, which for m[1] is m
+    times that of [1]; so m = m' and IMN holds.  For the Cohn kind, where
+    every target is certified, this is the source paper's theorem (arXiv
+    1303.2122).  A refutation R^m ~ R^m' refutes IMN too, as its notes
+    derive; the field then reads unknown, as for an unknown verdict.
     """
     imn = IMN_HOLDS if verdict.ibn == IBN_CERTIFIED else IMN_UNKNOWN
     return replace(verdict, imn=imn)

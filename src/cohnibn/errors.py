@@ -30,7 +30,12 @@ class NotRegularError(GraphError):
 
 
 class OutOfRangeError(CohnIbnError):
-    """Family parameters outside the allowed range."""
+    """A number outside the range the package accepts.
+
+    Raised for family parameters outside 1 <= m <= n, for an element whose
+    total coefficient exceeds 2**62, for a ``max_total_coefficient`` above
+    2**62, and for a ``find_scalar_witness`` step below 1.
+    """
 
 
 class LengthMismatchError(CohnIbnError):
@@ -39,10 +44,6 @@ class LengthMismatchError(CohnIbnError):
 
 class ZeroElementError(CohnIbnError):
     """Equivalence search is only defined for nonzero monoid elements."""
-
-
-class NonTerminatingError(CohnIbnError):
-    """The rewrite system has a dependency cycle, so no normal form exists."""
 
 
 class InternalInvariantViolation(CohnIbnError):

@@ -7,9 +7,10 @@ Two nonzero elements are equal in the quotient monoid exactly when some
 forward rewrites lead them to a common vector, which is what the bounded
 breadth-first search below looks for.  A search can therefore prove
 equality (with replayable traces) but can refute it only when both
-reachability closures are complete.  Two checks refute without a search:
-a weight functional that separates the two sides, and the lattice of the
-rules that can fire from them (``settle_without_search``).
+reachability closures are complete.  Two checks refute without a search,
+and ``settle_without_search`` runs both before any search: a weight
+functional that separates the two sides, and the lattice of the rules that
+can fire from them.  ``decide_equivalent`` is the search alone.
 
 numpy is imported inside the three functions that build or read the
 search's arrays, so that it loads only when a search runs.
@@ -19,13 +20,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
-from graphlib import CycleError, TopologicalSorter
 from typing import TYPE_CHECKING, Iterable, Sequence
 
+from .certificates import WeightCertificate, gamma
 from .errors import (
     InternalInvariantViolation,
     LengthMismatchError,
-    NonTerminatingError,
     OutOfRangeError,
     ZeroElementError,
 )
@@ -34,8 +34,6 @@ from .lattice import separating_functional
 
 if TYPE_CHECKING:
     import numpy as np
-
-    from .certificates import WeightCertificate
 
 Vector = tuple[int, ...]
 
@@ -248,21 +246,6 @@ def cohn_presentation(graph: Graph) -> RewriteSystem:
     return RewriteSystem(generators=generators, rule_add=add)
 
 
-def one_step(elem: Sequence[int], rs: RewriteSystem) -> tuple[Vector, ...]:
-    """All single-rule successors of elem, in rule order, deduplicated."""
-    vec = as_vector(elem, rs)
-    seen: set[Vector] = set()
-    out: list[Vector] = []
-    for k in range(rs.num_rules):
-        if vec[k] < 1:
-            continue
-        succ = rs.fire(vec, k)
-        if succ not in seen:
-            seen.add(succ)
-            out.append(succ)
-    return tuple(out)
-
-
 def expand_frontier(frontier, totals, rule_add, rule_dsum, max_total):
     """All one-step successors of a frontier whose total stays within max_total.
 
@@ -404,28 +387,12 @@ def _nonzero_pair(
     return va, vb
 
 
-def _settle_by_invariant(
-    va: Vector, vb: Vector, invariant: "WeightCertificate | None"
-) -> EquivalenceOutcome | None:
-    """Equal vectors are equivalent; a weight functional that differs on
-    the two sides separates them.  None when neither applies."""
-    from .certificates import gamma
-
-    if va == vb:
-        empty = ReductionTrace(start=va, steps=())
-        return EquivalenceOutcome(
-            status=EQUIVALENT, descendant=va, trace_a=empty, trace_b=empty
-        )
-    if invariant is not None:
-        ga = gamma(invariant, va)
-        gb = gamma(invariant, vb)
-        if ga != gb:
-            return EquivalenceOutcome(
-                status=NOT_EQUIVALENT,
-                reason="gamma-separation",
-                gamma_values=(ga, gb),
-            )
-    return None
+def _identical(vec: Vector) -> EquivalenceOutcome:
+    """A vector is equivalent to itself, with empty traces."""
+    empty = ReductionTrace(start=vec, steps=())
+    return EquivalenceOutcome(
+        status=EQUIVALENT, descendant=vec, trace_a=empty, trace_b=empty
+    )
 
 
 def _reachable(
@@ -446,7 +413,7 @@ def settle_without_search(
     a: Sequence[int],
     b: Sequence[int],
     rs: RewriteSystem,
-    invariant: "WeightCertificate | None" = None,
+    invariant: WeightCertificate | None = None,
 ) -> EquivalenceOutcome | None:
     """Decide a pair of nonzero elements by the checks that need no search.
 
@@ -460,9 +427,17 @@ def settle_without_search(
     proves it.  Returns None when only a search can decide.
     """
     va, vb = _nonzero_pair(a, b, rs)
-    settled = _settle_by_invariant(va, vb, invariant)
-    if settled is not None:
-        return settled
+    if va == vb:
+        return _identical(va)
+    if invariant is not None:
+        ga = gamma(invariant, va)
+        gb = gamma(invariant, vb)
+        if ga != gb:
+            return EquivalenceOutcome(
+                status=NOT_EQUIVALENT,
+                reason="gamma-separation",
+                gamma_values=(ga, gb),
+            )
     adds = dict(rs.rules())
     held = _reachable(va, vb, adds)
     rows = [
@@ -527,7 +502,6 @@ def decide_equivalent(
     b: Sequence[int],
     rs: RewriteSystem,
     bounds: SearchBounds | None = None,
-    invariant: "WeightCertificate | None" = None,
 ) -> EquivalenceOutcome:
     """Decide whether two nonzero elements are equal in the quotient monoid.
 
@@ -536,19 +510,18 @@ def decide_equivalent(
 
     - equivalent: a common descendant was reached from both sides; the
       returned traces replay to it.
-    - not-equivalent: either the supplied weight functional takes different
-      values on a and b (values reported), or both closures are complete
-      within bounds and disjoint.
+    - not-equivalent: both closures are complete within bounds and
+      disjoint.
     - unknown: the search was truncated without finding a common vector.
 
-    The restricted-lattice check of ``settle_without_search`` is not run
-    here; callers that want it call that first.
+    Equal vectors are equivalent at once.  The weight and lattice checks of
+    ``settle_without_search`` are not run here; callers that want them call
+    that first.
     """
     bounds = bounds or SearchBounds()
     va, vb = _nonzero_pair(a, b, rs)
-    settled = _settle_by_invariant(va, vb, invariant)
-    if settled is not None:
-        return settled
+    if va == vb:
+        return _identical(va)
 
     side_a = _Side(va)
     side_b = _Side(vb)
@@ -578,40 +551,6 @@ def decide_equivalent(
             status=NOT_EQUIVALENT, reason="disjoint-closures"
         )
     return EquivalenceOutcome(status=UNKNOWN, truncated=True)
-
-
-def normal_form(elem: Sequence[int], rs: RewriteSystem) -> Vector:
-    """The unique fully rewritten form, when rewriting terminates.
-
-    Terminates exactly when no rewritable generator feeds back into a
-    rewritable generator cycle; in that case the result has coefficient
-    zero at every rewritable generator and does not depend on firing
-    order.  Raises NonTerminatingError, naming a generator on a
-    dependency cycle, when there is one.
-    """
-    vec = as_vector(elem, rs)
-    # Firing rule k feeds the rules whose generators appear in its
-    # replacement, so each rule lists those as predecessors, and the
-    # reversed order fires every feeder before the rules it feeds.
-    sorter = TopologicalSorter(
-        {k: [j for j, c in enumerate(add[: rs.num_rules]) if c]
-         for k, add in rs.rules()}
-    )
-    try:
-        order = list(sorter.static_order())[::-1]
-    except CycleError as exc:
-        raise NonTerminatingError(
-            f"rewriting does not terminate: generator "
-            f"{rs.generators[exc.args[1][0]]!r} feeds back into itself"
-        ) from None
-
-    current = list(vec)
-    for k in order:
-        count = current[k]
-        if count > 0:
-            current[k] = 0
-            current = [c + count * a for c, a in zip(current, rs.rule_add[k])]
-    return tuple(current)
 
 
 def find_scalar_witness(

@@ -14,15 +14,24 @@ from cohnibn import (
     KIND_COHN,
     KIND_LEAVITT,
     KIND_RELATIVE,
+    RewriteSystem,
+    SearchBounds,
+    as_vector,
+    cohn_companion,
     f_line_graph,
     f_rose_two,
     family,
+    forward_closure,
     graph_from,
+    incidence,
     line_graph,
     rose_two,
     validate,
 )
 from cohnibn.cli import main as cli_main
+from cohnibn.lattice import echelon_basis
+
+Vector = tuple[int, ...]
 
 
 def make_random_graph(
@@ -72,6 +81,75 @@ LONG_WITNESS_ROWS = (
     (0, 0, 1, 0, 0, 2, 2, 1, 2),
     (0, 0, 2, 0, 1, 3, 0, 0, 0),
 )
+
+
+def one_step(elem, rs: RewriteSystem) -> tuple[Vector, ...]:
+    """All single-rule successors of elem, in rule order, deduplicated."""
+    vec = as_vector(elem, rs)
+    seen: set[Vector] = set()
+    out: list[Vector] = []
+    for k in range(rs.num_rules):
+        if vec[k] < 1:
+            continue
+        succ = rs.fire(vec, k)
+        if succ not in seen:
+            seen.add(succ)
+            out.append(succ)
+    return tuple(out)
+
+
+def companion_rank_check(graph: Graph) -> bool:
+    """Verify the rank argument that makes companion systems solvable.
+
+    Builds the weight system of ``cohn_companion(graph)`` over the
+    integers (E's n vertices, regular first, then a fresh sink per
+    regular), checks its rank is exactly t+1, then redoes the column
+    reduction that explains why: subtracting column i from column n+i
+    leaves unit columns in the duplicated block, so the last t+1 columns
+    are independent.  Ranks are the lengths of echelon bases.
+    """
+    matrix = incidence(cohn_companion(graph).graph)
+    t = matrix.num_regular
+    n = matrix.size - t
+    rows = [[1] * (n + t), *map(list, matrix.entries[:t])]
+    for i in range(t):
+        rows[i + 1][i] -= 1
+    if len(echelon_basis(rows)) != t + 1:
+        return False
+    reduced = [r[:] for r in rows]
+    for j in range(t):
+        for r in range(t + 1):
+            reduced[r][n + j] -= reduced[r][j]
+    for j in range(t):
+        for r in range(t + 1):
+            expected = 1 if r == j + 1 else 0
+            if reduced[r][n + j] != expected:
+                return False
+    block = [[reduced[r][c] for c in range(n - 1, n + t)] for r in range(t + 1)]
+    return len(echelon_basis(block)) == t + 1
+
+
+# Loose enough that the closures of the small acyclic systems in the tests
+# are complete.
+_CLOSURE_BOUNDS = SearchBounds(
+    max_states=100_000, max_total_coefficient=2**20, max_depth=2**20
+)
+
+
+def closure_normal_form(elem, rs: RewriteSystem) -> Vector:
+    """The normal form of elem, read off its complete forward closure.
+
+    Requires the closure to be complete and to hold exactly one vector
+    with coefficient zero at every rule's generator, which is what makes
+    the fully rewritten form unique.
+    """
+    closure = forward_closure(elem, rs, _CLOSURE_BOUNDS)
+    assert not closure.truncated
+    rewritten = [
+        vec for vec in closure.elements if not any(vec[: rs.num_rules])
+    ]
+    assert len(rewritten) == 1, rewritten
+    return rewritten[0]
 
 
 def corpus_graphs() -> list[tuple[str, Graph, tuple[str, ...]]]:

@@ -23,7 +23,6 @@ from cohnibn import (
     audit,
     cohn_companion,
     cohn_presentation,
-    companion_rank_check,
     decide_equivalent,
     decide_ibn,
     decide_imn,
@@ -34,14 +33,21 @@ from cohnibn import (
     incidence,
     line_graph,
     monoid_presentation,
-    normal_form,
-    one_step,
     rose_two,
     scale,
+    settle_without_search,
     solve_exact,
     verify_certificate,
 )
-from conftest import corpus_graphs, corpus_specs, make_random_graph, run_cli
+from conftest import (
+    closure_normal_form,
+    companion_rank_check,
+    corpus_graphs,
+    corpus_specs,
+    make_random_graph,
+    one_step,
+    run_cli,
+)
 
 ACCEPT_BOUNDS = SearchBounds(max_states=100_000, max_total_coefficient=64)
 
@@ -105,12 +111,12 @@ def test_criterion_03_refutations_with_replayable_traces():
 
 def test_criterion_04_normal_forms():
     rs_line = monoid_presentation(incidence(line_graph()))
-    assert normal_form((1, 1, 1), rs_line) == (0, 0, 3)
+    assert closure_normal_form((1, 1, 1), rs_line) == (0, 0, 3)
 
     f_line = f_line_graph()
     rs_f = monoid_presentation(incidence(f_line))
     assert f_line.vertices == ("u", "v", "w", "u'", "v'")
-    nf = normal_form((1, 1, 1, 1, 1), rs_f)
+    nf = closure_normal_form((1, 1, 1, 1, 1), rs_f)
     assert nf == (0, 0, 3, 1, 2)
     assert nf[2:] == (3, 1, 2)  # coefficients on (w, u', v')
     print("PASS criterion 4: rho normalizes to (3,1,2) on (w,u',v') in "
@@ -131,8 +137,8 @@ def test_criterion_05_parity_reductions_in_companion_of_rose_two():
         for m_prime in range(1, 6):
             if m == m_prime:
                 continue
-            out = decide_equivalent(
-                (m, 0), (m_prime, 0), rs, ACCEPT_BOUNDS, invariant=cert
+            out = settle_without_search(
+                (m, 0), (m_prime, 0), rs, invariant=cert
             )
             assert out.status == NOT_EQUIVALENT
             assert out.reason == "gamma-separation"

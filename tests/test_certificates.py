@@ -9,7 +9,6 @@ from cohnibn import (
     WeightCertificate,
     classify,
     cohn_companion,
-    companion_rank_check,
     f_line_graph,
     f_rose_two,
     gamma,
@@ -25,7 +24,7 @@ from cohnibn import (
     verify_certificate,
 )
 from cohnibn.errors import LengthMismatchError
-from conftest import make_random_graph
+from conftest import companion_rank_check, make_random_graph
 
 F = Fraction
 

@@ -725,6 +725,12 @@ def test_readme_library_section_holds():
     assert not hasattr(cohnibn, "echelon_basis")
 
 
+def test_every_name_in_all_is_exported():
+    # The import list and __all__ of cohnibn are kept by hand; a name in
+    # __all__ that is not imported breaks `from cohnibn import *`.
+    assert [name for name in cohnibn.__all__ if not hasattr(cohnibn, name)] == []
+
+
 def test_cli_reports_are_deterministic(cli):
     for argv in (
         ["ibn-check", "--example", "r2", "--format", "json"],

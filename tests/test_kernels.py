@@ -20,11 +20,10 @@ from cohnibn import (
     forward_closure,
     incidence,
     monoid_presentation,
-    one_step,
 )
 from cohnibn import rewriting
 from cohnibn.rewriting import _rule_arrays, expand_frontier
-from conftest import make_random_graph
+from conftest import make_random_graph, one_step
 
 
 def _expand_frontier_loops(frontier, totals, rule_add, rule_dsum, max_total):

@@ -8,7 +8,6 @@ import pytest
 from cohnibn import (
     EQUIVALENT,
     NOT_EQUIVALENT,
-    NonTerminatingError,
     OutOfRangeError,
     ReductionTrace,
     RewriteSystem,
@@ -28,8 +27,6 @@ from cohnibn import (
     line_graph,
     graph_from,
     monoid_presentation,
-    normal_form,
-    one_step,
     rose_two,
     scale,
     settle_without_search,
@@ -37,7 +34,7 @@ from cohnibn import (
     validate,
 )
 from cohnibn.errors import LengthMismatchError
-from conftest import make_random_graph
+from conftest import closure_normal_form, make_random_graph, one_step
 
 
 def _f_r2_system():
@@ -265,11 +262,11 @@ def test_decide_equivalent_disjoint_complete_closures():
     assert out.reason == "disjoint-closures"
 
 
-def test_decide_equivalent_gamma_short_circuit():
+def test_settle_without_search_gamma_short_circuit():
     matrix = incidence(f_rose_two())
     rs = monoid_presentation(matrix)
     cert = solve_exact(rs)
-    out = decide_equivalent((1, 0), (2, 0), rs, invariant=cert)
+    out = settle_without_search((1, 0), (2, 0), rs, invariant=cert)
     assert out.status == NOT_EQUIVALENT
     assert out.reason == "gamma-separation"
     assert out.gamma_values == (2, 4)
@@ -280,10 +277,11 @@ def test_decide_equivalent_equal_gamma_does_not_prove_equivalence():
     rs = monoid_presentation(matrix)
     cert = solve_exact(rs)
     # (2, 8) and (0, 4) share the weight -4 yet lie in distinct classes;
-    # equal weights must not short-circuit, so the search runs and ends
-    # inconclusive (one side is an infinite chain).
+    # equal weights must not short-circuit, so only a search can go on,
+    # and it ends inconclusive (one side is an infinite chain).
+    assert settle_without_search((2, 8), (0, 4), rs, invariant=cert) is None
     out = decide_equivalent(
-        (2, 8), (0, 4), rs, SearchBounds(max_total_coefficient=30), cert
+        (2, 8), (0, 4), rs, SearchBounds(max_total_coefficient=30)
     )
     assert out.status == UNKNOWN
     assert out.reason != "gamma-separation"
@@ -309,45 +307,20 @@ def test_decide_equivalent_no_rules_free_monoid():
 
 def test_normal_form_line_and_companion():
     rs = monoid_presentation(incidence(line_graph()))
-    assert normal_form((1, 1, 1), rs) == (0, 0, 3)
+    assert closure_normal_form((1, 1, 1), rs) == (0, 0, 3)
     rs_f = monoid_presentation(incidence(f_line_graph()))
-    assert normal_form((1, 1, 1, 1, 1), rs_f) == (0, 0, 3, 1, 2)
+    assert closure_normal_form((1, 1, 1, 1, 1), rs_f) == (0, 0, 3, 1, 2)
 
 
 def test_normal_form_is_path_independent():
+    # The normal form is the one vector of the complete closure with no
+    # rule left to fire; every successor's closure reaches that same one.
     rs = monoid_presentation(incidence(f_line_graph()))
     elem = (2, 1, 0, 1, 3)
-    nf = normal_form(elem, rs)
+    nf = closure_normal_form(elem, rs)
     for succ in one_step(elem, rs):
-        assert normal_form(succ, rs) == nf
-    assert nf[: rs.num_rules] == (0, 0)
+        assert closure_normal_form(succ, rs) == nf
     assert one_step(nf, rs) == ()
-    assert nf in forward_closure(elem, rs).elements
-
-
-def test_normal_form_raises_on_cycles():
-    rs = monoid_presentation(incidence(rose_two()))
-    with pytest.raises(NonTerminatingError):
-        normal_form((1,), rs)
-    # u feeds the cycle v -> w -> v without lying on it; the error names a
-    # generator on the cycle.
-    g = validate(graph_from(
-        ["u", "v", "w"], [("a", "u", "v"), ("b", "v", "w"), ("c", "w", "v")]
-    ))
-    with pytest.raises(NonTerminatingError, match="generator '[vw]' feeds back"):
-        normal_form((1, 0, 0), monoid_presentation(incidence(g)))
-
-
-def test_normal_form_of_a_long_path():
-    # The firing order is sorted without recursion, so a dependency chain
-    # of 5,000 rules needs no deeper a stack than a short one.
-    n = 5000
-    vertices = [f"v{i}" for i in range(n)]
-    path = validate(graph_from(
-        vertices, [(f"e{i}", vertices[i], vertices[i + 1]) for i in range(n - 1)]
-    ))
-    rs = monoid_presentation(incidence(path))
-    assert normal_form((1,) * n, rs) == (0,) * (n - 1) + (n,)
 
 
 def test_scale():
