@@ -12,15 +12,16 @@ and ``settle_without_search`` runs both before any search: a weight
 functional that separates the two sides, and the lattice of the rules that
 can fire from them.  ``decide_equivalent`` is the search alone.
 
-numpy is imported inside the three functions that build or read the
-search's arrays, so that it loads only when a search runs.
+The search is plain Python on int tuples.  ``expand_frontier`` fires one
+level in (parent, rule) order, building each child from its rule's sparse
+change and dropping it if already seen, and stops at the state cap.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .certificates import WeightCertificate, gamma
 from .errors import (
@@ -31,9 +32,6 @@ from .errors import (
 )
 from .graphs import Graph, IncidenceMatrix, incidence
 from .lattice import separating_functional
-
-if TYPE_CHECKING:
-    import numpy as np
 
 Vector = tuple[int, ...]
 
@@ -89,9 +87,9 @@ class RewriteSystem:
         return rows
 
 
-# The search stores states as int64.  A state's total is at most the
-# larger of its root's total and max_total_coefficient, and one firing adds
-# a rule's out-degree to it, so capping both at 2**62 keeps every sum exact.
+# States are Python ints, so no sum overflows; 2**62 stays the documented
+# range of a total and of max_total_coefficient, and a larger one raises
+# OutOfRangeError.
 COEFF_LIMIT = 2**62
 
 
@@ -246,31 +244,67 @@ def cohn_presentation(graph: Graph) -> RewriteSystem:
     return RewriteSystem(generators=generators, rule_add=add)
 
 
-def expand_frontier(frontier, totals, rule_add, rule_dsum, max_total):
-    """All one-step successors of a frontier whose total stays within max_total.
+class _Level(list):
+    """The states first seen in one breadth-first level, in firing order.
 
-    ``rule_add`` holds one row per rule, rule k rewriting generator k, and
-    ``rule_dsum[k]`` is the change rule k makes to a total.  Returns
-    (children, parents, fired, pruned): children[j] is the result of firing
-    rule fired[j] on frontier row parents[j]; pruned counts applicable
-    firings dropped for exceeding max_total.  The firings are taken from
-    one (parent, rule) grid by ``np.nonzero``, whose row-major order is
-    (parent, rule) order.
+    ``shape`` is ``(len(self),)``: perfbench's tracer counts a level's
+    states by ``shape[0]``, and the property stays until it uses ``len()``.
     """
-    import numpy as np
 
-    applicable = frontier[:, : rule_add.shape[0]] > 0
-    within = rule_dsum <= (max_total - totals)[:, None]
-    pruned = int(np.count_nonzero(applicable & ~within))
-    parents, fired = np.nonzero(applicable & within)
-    children = frontier[parents] + rule_add[fired]
-    children[np.arange(fired.size), fired] -= 1
-    return children, parents, fired, pruned
+    @property
+    def shape(self) -> tuple[int]:
+        return (len(self),)
 
 
-# A level fires at most this many child cells (rows x rules x generators)
-# at once, 32 MB of int64, so a level's memory follows the state cap.
-_BLOCK_CELLS = 2**22
+def _rule_deltas(rs: RewriteSystem) -> list[tuple[int, int, tuple]]:
+    """(k, grow, delta) per rule k: delta lists the nonzero (index, change)
+    entries of one firing, its own unit already removed, and grow is the
+    change it makes to a total."""
+    out = []
+    for k, add in rs.rules():
+        change = list(add)
+        change[k] -= 1
+        delta = tuple((i, c) for i, c in enumerate(change) if c)
+        out.append((k, sum(change), delta))
+    return out
+
+
+def expand_frontier(frontier, rules, max_total, seen, max_states):
+    """Fire one breadth-first level in (parent, rule) order.
+
+    ``rules`` comes from ``_rule_deltas``.  A firing whose total would
+    exceed max_total is pruned and counted.  ``seen`` maps every state
+    found so far to its id, and a child not in it gets the next id; once
+    ``seen`` holds max_states states, the next new child stops the level
+    and is not kept.  Returns (children, parents, fired, pruned, capped):
+    children[j], a ``_Level``, is new, from firing rule fired[j] on
+    frontier[parents[j]]; capped tells whether the cap stopped the level.
+    """
+    children = _Level()
+    parents: list[int] = []
+    fired: list[int] = []
+    pruned = 0
+    for p, vec in enumerate(frontier):
+        room = max_total - sum(vec)
+        for k, grow, delta in rules:
+            if not vec[k]:
+                continue
+            if grow > room:
+                pruned += 1
+                continue
+            child = list(vec)
+            for i, c in delta:
+                child[i] += c
+            child = tuple(child)
+            if child in seen:
+                continue
+            if len(seen) >= max_states:
+                return children, parents, fired, pruned, True
+            seen[child] = len(seen)
+            children.append(child)
+            parents.append(p)
+            fired.append(k)
+    return children, parents, fired, pruned, False
 
 
 class _Side:
@@ -281,7 +315,7 @@ class _Side:
         self.parent: list[int] = [-1]
         self.fired: list[int] = [-1]
         self.seen: dict[Vector, int] = {root: 0}
-        self.frontier: list[int] = [0]
+        self.frontier = range(1)
         self.depth = 0
         self.truncated = False
         self.capped = False
@@ -298,44 +332,20 @@ class _Side:
     def complete(self) -> bool:
         return not self.truncated and not self.frontier
 
-    def expand(
-        self, add: np.ndarray, dsum: np.ndarray, bounds: SearchBounds
-    ) -> list[int]:
-        """Expand one level; returns ids of states first seen here.
-
-        The frontier fires in blocks of rows whose children fill at most
-        _BLOCK_CELLS cells, in (parent, rule) order, and the level stops
-        after the block in which the state cap is reached.
-        """
-        import numpy as np
-
-        block = max(1, _BLOCK_CELLS // max(1, add.size))
-        new_ids: list[int] = []
-        for start in range(0, len(self.frontier), block):
-            ids = self.frontier[start : start + block]
-            vecs = np.array([self.vectors[i] for i in ids], dtype=np.int64)
-            children, parents, fired, pruned = expand_frontier(
-                vecs, vecs.sum(axis=1), add, dsum, bounds.max_total_coefficient
-            )
-            if pruned:
-                self.truncated = True
-            for row, p, k in zip(children.tolist(), parents.tolist(), fired.tolist()):
-                key = tuple(row)
-                if key in self.seen:
-                    continue
-                if len(self.vectors) >= bounds.max_states:
-                    self.truncated = True
-                    self.capped = True
-                    break
-                node = len(self.vectors)
-                self.seen[key] = node
-                self.vectors.append(key)
-                self.parent.append(ids[p])
-                self.fired.append(k)
-                new_ids.append(node)
-            if self.capped:
-                break
-        self.frontier = [] if self.capped else new_ids
+    def expand(self, rules, bounds: SearchBounds) -> range:
+        """Expand one level; returns the ids of the states first seen here."""
+        ids = self.frontier
+        children, parents, fired, pruned, capped = expand_frontier(
+            self.vectors[ids.start : ids.stop], rules,
+            bounds.max_total_coefficient, self.seen, bounds.max_states,
+        )
+        new_ids = range(len(self.vectors), len(self.vectors) + len(children))
+        self.vectors.extend(children)
+        self.parent.extend(ids[p] for p in parents)
+        self.fired.extend(fired)
+        self.truncated = self.truncated or capped or pruned > 0
+        self.capped = capped
+        self.frontier = range(0) if capped else new_ids
         self.depth += 1
         return new_ids
 
@@ -350,16 +360,6 @@ class _Side:
         return ReductionTrace(start=self.vectors[0], steps=steps)
 
 
-def _rule_arrays(rs: RewriteSystem) -> tuple[np.ndarray, np.ndarray]:
-    """The rules as one int64 array, and the change each makes to a total."""
-    import numpy as np
-
-    add = np.array(rs.rule_add, dtype=np.int64).reshape(
-        rs.num_rules, rs.num_generators
-    )
-    return add, add.sum(axis=1) - 1
-
-
 def forward_closure(
     elem: Sequence[int], rs: RewriteSystem, bounds: SearchBounds | None = None
 ) -> Closure:
@@ -371,9 +371,9 @@ def forward_closure(
     """
     bounds = bounds or SearchBounds()
     side = _Side(as_vector(elem, rs))
-    add, dsum = _rule_arrays(rs)
+    rules = _rule_deltas(rs)
     while side.can_expand(bounds):
-        side.expand(add, dsum, bounds)
+        side.expand(rules, bounds)
     return Closure(frozenset(side.vectors), side.truncated, side.depth)
 
 
@@ -525,14 +525,14 @@ def decide_equivalent(
 
     side_a = _Side(va)
     side_b = _Side(vb)
-    add, dsum = _rule_arrays(rs)
+    rules = _rule_deltas(rs)
 
     while True:
         progressed = False
         for side, other in ((side_a, side_b), (side_b, side_a)):
             if not side.can_expand(bounds):
                 continue
-            new_ids = side.expand(add, dsum, bounds)
+            new_ids = side.expand(rules, bounds)
             progressed = True
             hits = [n for n in new_ids if side.vectors[n] in other.seen]
             if hits:

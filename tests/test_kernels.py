@@ -1,5 +1,5 @@
-"""The frontier-expansion kernel must agree exactly with the loop oracle,
-and it is the only numpy code in the package."""
+"""The breadth-first level step must agree exactly with the loop oracle,
+and the package runs without numpy."""
 
 import ast
 import json
@@ -9,179 +9,194 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
-import pytest
-
 import cohnibn
 from cohnibn import (
+    RewriteSystem,
     SearchBounds,
     cohn_companion,
-    decide_equivalent,
-    forward_closure,
     incidence,
     monoid_presentation,
 )
-from cohnibn import rewriting
-from cohnibn.rewriting import _rule_arrays, expand_frontier
-from conftest import make_random_graph, one_step
+from cohnibn.rewriting import _rule_deltas, _Side, expand_frontier
+from conftest import make_random_graph
+
+_NO_CAP = 10**9
 
 
-def _expand_frontier_loops(frontier, totals, rule_add, rule_dsum, max_total):
-    """Reference kernel: one plain loop per (parent, rule) pair."""
-    num_rows, width = frontier.shape
-    num_rules = rule_add.shape[0]
-    count = 0
+def _expand_frontier_loops(frontier, rs, max_total, seen, max_states):
+    """Reference step: one plain loop per (parent, rule) pair, firing with
+    ``RewriteSystem.fire`` and recomputing each total."""
+    known = set(seen)
+    room = max_states - len(seen)
+    children, parents, fired = [], [], []
     pruned = 0
-    for p in range(num_rows):
-        for k in range(num_rules):
-            if frontier[p, k] > 0:
-                if totals[p] + rule_dsum[k] <= max_total:
-                    count += 1
-                else:
-                    pruned += 1
-    children = np.empty((count, width), dtype=np.int64)
-    parents = np.empty(count, dtype=np.int64)
-    fired = np.empty(count, dtype=np.int64)
-    pos = 0
-    for p in range(num_rows):
-        for k in range(num_rules):
-            if frontier[p, k] > 0 and totals[p] + rule_dsum[k] <= max_total:
-                for j in range(width):
-                    children[pos, j] = frontier[p, j] + rule_add[k, j]
-                children[pos, k] -= 1
-                parents[pos] = p
-                fired[pos] = k
-                pos += 1
-    return children, parents, fired, pruned
-
-
-_BACKENDS = [("numpy", expand_frontier), ("loops", _expand_frontier_loops)]
+    for p in range(len(frontier)):
+        for k in range(rs.num_rules):
+            if frontier[p][k] < 1:
+                continue
+            if sum(frontier[p]) + sum(rs.rule_add[k]) - 1 > max_total:
+                pruned += 1
+                continue
+            child = rs.fire(frontier[p], k)
+            if child in known:
+                continue
+            if len(children) == room:
+                return children, parents, fired, pruned, True
+            known.add(child)
+            children.append(child)
+            parents.append(p)
+            fired.append(k)
+    return children, parents, fired, pruned, False
 
 
 def _random_case(rng):
+    """A random system and frontier; ``seen`` holds the frontier and some
+    of its children, and the state cap often falls inside the level."""
     g = cohn_companion(make_random_graph(rng, max_vertices=4, max_edges=8)).graph
     rs = monoid_presentation(incidence(g))
-    rows = rng.randint(0, 64)
-    frontier = np.array(
-        [[rng.randint(0, 4) for _ in range(rs.num_generators)] for _ in range(rows)],
-        dtype=np.int64,
-    ).reshape(rows, rs.num_generators)
-    totals = frontier.sum(axis=1) if rows else np.empty(0, dtype=np.int64)
+    frontier = [
+        tuple(rng.randint(0, 4) for _ in range(rs.num_generators))
+        for _ in range(rng.randint(0, 64))
+    ]
+    seen = dict.fromkeys(frontier)
+    for vec in frontier:
+        for k in range(rs.num_rules):
+            if vec[k] and rng.random() < 0.2:
+                seen[rs.fire(vec, k)] = None
+    seen = {vec: i for i, vec in enumerate(seen)}
     max_total = rng.randint(2, 30)
-    return rs, frontier, totals, max_total
+    max_states = rng.choice([_NO_CAP, len(seen) + rng.randint(0, 40)])
+    return rs, frontier, seen, max_total, max_states
+
+
+def _fire(frontier, rs, max_total, seen, max_states):
+    return expand_frontier(frontier, _rule_deltas(rs), max_total, seen, max_states)
 
 
 def test_backends_agree_on_random_cases():
     rng = random.Random(5)
-    for _ in range(60):
-        rs, frontier, totals, max_total = _random_case(rng)
-        add, dsum = _rule_arrays(rs)
-        results = [
-            fn(frontier, totals, add, dsum, max_total)
-            for _, fn in _BACKENDS
-        ]
-        ref = results[0]
-        for (name, _), got in zip(_BACKENDS[1:], results[1:]):
-            for part_ref, part_got in zip(ref[:3], got[:3]):
-                assert np.array_equal(part_ref, part_got), name
-            assert ref[3] == got[3], name
+    capped = 0
+    for _ in range(200):
+        rs, frontier, seen, max_total, max_states = _random_case(rng)
+        before = dict(seen)
+        got = _fire(frontier, rs, max_total, seen, max_states)
+        want = _expand_frontier_loops(frontier, rs, max_total, before, max_states)
+        assert [list(part) for part in got[:3]] == [list(p) for p in want[:3]]
+        assert got[3:] == want[3:]
+        assert got[0].shape == (len(got[0]),)
+        # The new states get the next ids, in firing order.
+        assert seen == {**before, **{c: len(before) + j for j, c in enumerate(got[0])}}
+        capped += got[4]
+    assert capped >= 20
 
 
 def test_output_is_in_parent_then_rule_order():
     rng = random.Random(9)
-    for _ in range(20):
-        rs, frontier, totals, max_total = _random_case(rng)
-        add, dsum = _rule_arrays(rs)
-        _, parents, fired, _ = expand_frontier(frontier, totals, add, dsum, max_total)
-        keys = list(zip(parents.tolist(), fired.tolist()))
-        assert keys == sorted(keys)
+    for _ in range(40):
+        rs, frontier, seen, max_total, max_states = _random_case(rng)
+        _, parents, fired, _, _ = _fire(frontier, rs, max_total, seen, max_states)
+        keys = list(zip(parents, fired))
+        assert keys == sorted(set(keys))
 
 
 def test_children_match_manual_application():
     rng = random.Random(13)
-    for _ in range(20):
-        rs, frontier, totals, max_total = _random_case(rng)
-        add, dsum = _rule_arrays(rs)
-        children, parents, fired, pruned = expand_frontier(
-            frontier, totals, add, dsum, max_total
+    for _ in range(40):
+        rs, frontier, seen, max_total, _ = _random_case(rng)
+        children, parents, fired, pruned, capped = _fire(
+            frontier, rs, max_total, seen, _NO_CAP
         )
+        assert not capped
         expected = 0
-        for p in range(frontier.shape[0]):
+        for vec in frontier:
             for k in range(rs.num_rules):
-                if frontier[p, k] < 1:
+                if vec[k] < 1:
                     continue
-                if totals[p] + dsum[k] > max_total:
+                if sum(vec) + sum(rs.rule_add[k]) - 1 > max_total:
                     expected += 1  # applicable but pruned
+                else:
+                    assert rs.fire(vec, k) in seen
         assert pruned == expected
         for child, p, k in zip(children, parents, fired):
-            manual = frontier[p] + add[k]
-            manual[k] -= 1
-            assert np.array_equal(child, manual)
-            assert frontier[p, k] >= 1
+            assert frontier[p][k] >= 1
+            assert child == rs.fire(frontier[p], k)
 
 
-def test_zero_rules_and_empty_frontier():
-    add = np.empty((0, 2), dtype=np.int64)
-    dsum = np.empty(0, dtype=np.int64)
-    frontier = np.array([[1, 2]], dtype=np.int64)
-    totals = np.array([3], dtype=np.int64)
-    for name, fn in _BACKENDS:
-        children, parents, fired, pruned = fn(frontier, totals, add, dsum, 10)
-        assert children.shape == (0, 2) and pruned == 0, name
-
-    add2 = np.array([[1, 1]], dtype=np.int64)
-    dsum2 = np.array([1], dtype=np.int64)
-    empty = np.empty((0, 2), dtype=np.int64)
-    etot = np.empty(0, dtype=np.int64)
-    for name, fn in _BACKENDS:
-        children, parents, fired, pruned = fn(empty, etot, add2, dsum2, 10)
-        assert children.shape == (0, 2) and pruned == 0, name
+# x and y each rewrite into z, so firing x on (2,0,0) and y on (1,1,0)
+# both give (1,0,1).
+_MERGING = RewriteSystem(generators=("x", "y", "z"), rule_add=((0, 0, 1), (0, 0, 1)))
+_MERGING_FRONTIER = [(2, 0, 0), (1, 1, 0)]
 
 
-def _capped_searches(seed):
-    """forward_closure and decide_equivalent on seeded random systems, with
-    state caps that often stop a level part way through."""
-    rng = random.Random(seed)
-    runs = []
+def test_duplicates_within_one_level_are_kept_once():
+    seen = {vec: i for i, vec in enumerate(_MERGING_FRONTIER)}
+    children, parents, fired, pruned, capped = _fire(
+        _MERGING_FRONTIER, _MERGING, 64, seen, _NO_CAP
+    )
+    assert (children, parents, fired, pruned, capped) == (
+        [(1, 0, 1), (0, 1, 1)], [0, 1], [0, 0], 0, False
+    )
+    # A child seen before the level is not new either.
+    seen = {vec: i for i, vec in enumerate([*_MERGING_FRONTIER, (1, 0, 1)])}
+    children, parents, fired, _, _ = _fire(
+        _MERGING_FRONTIER, _MERGING, 64, seen, _NO_CAP
+    )
+    assert (children, parents, fired) == ([(0, 1, 1)], [1], [0])
+
+
+def test_the_level_stops_at_the_cap():
+    # Room for one new state: the second new child stops the level.
+    seen = {vec: i for i, vec in enumerate(_MERGING_FRONTIER)}
+    got = _fire(_MERGING_FRONTIER, _MERGING, 64, seen, 3)
+    assert got == ([(1, 0, 1)], [0], [0], 0, True)
+    assert len(seen) == 3
+    # Room for exactly the two new states: the level ends uncapped.
+    seen = {vec: i for i, vec in enumerate(_MERGING_FRONTIER)}
+    got = _fire(_MERGING_FRONTIER, _MERGING, 64, seen, 4)
+    assert got[0] == [(1, 0, 1), (0, 1, 1)] and got[4] is False
+    # A full seen stops the level at its first new child, pruned or not.
+    seen = {vec: i for i, vec in enumerate(_MERGING_FRONTIER)}
+    assert _fire(_MERGING_FRONTIER, _MERGING, 1, seen, 2) == ([], [], [], 3, False)
+    assert _fire(_MERGING_FRONTIER, _MERGING, 64, seen, 2) == ([], [], [], 0, True)
+
+
+def _grown(root, rs, bounds):
+    side = _Side(root)
+    rules = _rule_deltas(rs)
+    while side.can_expand(bounds):
+        side.expand(rules, bounds)
+    return side
+
+
+def test_capped_level_keeps_a_prefix_of_the_uncapped_level():
+    # A closure stopped by the state cap holds exactly max_states states:
+    # the first ones the uncapped search finds, with the same traces.
+    rng = random.Random(3)
+    capped = 0
     for _ in range(80):
         g = cohn_companion(make_random_graph(rng, max_vertices=4, max_edges=8)).graph
         rs = monoid_presentation(incidence(g))
-        a, b = ([1] + [rng.randint(0, 1) for _ in range(rs.num_generators - 1)]
-                for _ in range(2))
-        fired = tuple(a)  # a descendant of a, joined through wide levels
-        for _ in range(rng.randint(2, 8)):
-            fired = rng.choice(one_step(fired, rs) or (fired,))
-        bounds = SearchBounds(
-            max_states=rng.randint(2, 60),
-            max_total_coefficient=rng.randint(8, 40),
-            max_depth=rng.randint(2, 16),
-        )
-        runs.append((bounds, forward_closure(a, rs, bounds),
-                     decide_equivalent(a, b, rs, bounds),
-                     decide_equivalent(a, fired, rs, bounds)))
-    return runs
+        root = tuple([1] + [rng.randint(0, 1) for _ in range(rs.num_generators - 1)])
+        total, depth = rng.randint(8, 40), rng.randint(2, 16)
+        whole = _grown(root, rs, SearchBounds(_NO_CAP, total, depth))
+        cap = rng.randint(1, 60)
+        side = _grown(root, rs, SearchBounds(cap, total, depth))
+        if side.capped:
+            capped += 1
+            assert len(side.vectors) == cap and side.truncated
+        assert side.vectors == whole.vectors[: len(side.vectors)]
+        for node in range(len(side.vectors)):
+            assert side.trace_to(node) == whole.trace_to(node)
+    assert capped >= 10
 
 
-@pytest.mark.parametrize("cells", [1, 64])
-def test_levels_fired_in_blocks_match_whole_levels(monkeypatch, cells):
-    # Equal closures and outcomes, traces included, whether a level fires
-    # at once or a few rows at a time; no call fires more cells than the
-    # block allows, unless one row alone needs more.
-    sizes = []
+def test_zero_rules_and_empty_frontier():
+    no_rules = RewriteSystem(generators=("x", "y"), rule_add=())
+    seen = {(1, 2): 0}
+    assert _fire([(1, 2)], no_rules, 10, seen, _NO_CAP) == ([], [], [], 0, False)
 
-    def recording(frontier, totals, rule_add, rule_dsum, max_total):
-        sizes.append((frontier.shape[0] * rule_add.size, rule_add.size))
-        return expand_frontier(frontier, totals, rule_add, rule_dsum, max_total)
-
-    monkeypatch.setattr(rewriting, "expand_frontier", recording)
-    whole = _capped_searches(3)
-    whole_calls = len(sizes)
-    assert sum(len(c.elements) == b.max_states for b, c, *_ in whole) >= 10
-    sizes.clear()
-    monkeypatch.setattr(rewriting, "_BLOCK_CELLS", cells)
-    assert _capped_searches(3) == whole
-    assert len(sizes) > whole_calls
-    assert all(size <= max(cells, row) for size, row in sizes)
+    one_rule = RewriteSystem(generators=("x", "y"), rule_add=((1, 1),))
+    assert _fire([], one_rule, 10, {}, _NO_CAP) == ([], [], [], 0, False)
 
 
 def test_search_results_identical_across_backends():
@@ -210,10 +225,7 @@ def test_search_results_identical_across_backends():
     )
 
 
-def test_only_the_rewriting_module_imports_numpy():
-    # numpy stays inside the breadth-first search's frontier kernel; every
-    # other module works on plain int tuples.
-    importers = set()
+def test_no_module_imports_numpy():
     for path in Path(cohnibn.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
@@ -222,51 +234,65 @@ def test_only_the_rewriting_module_imports_numpy():
                 names = [node.module or ""]
             else:
                 continue
-            if any(name.split(".")[0] == "numpy" for name in names):
-                importers.add(path.name)
-    assert importers == {"rewriting.py"}
+            assert all(name.split(".")[0] != "numpy" for name in names), path.name
 
 
-_NO_SEARCH_COMMANDS = [
-    ["ibn-check", "--example", "r2", "--algebra", "leavitt"],
-    ["ibn-check", "--example", "r2", "--algebra", "cohn"],
-    ["ibn-check", "--family", "3", "1", "--algebra", "relative"],
-    ["companion", "--example", "r2"],
-    ["examples"],
-    ["family", "3", "1"],
-]
-_JOINED_PAIR = ["monoid-equiv", "--example", "f-r2", "-a", "1,2", "-b", "2,4"]
+# u has two loops and two edges to v, and v and w point at each other: the
+# relation rows are rank-deficient, so ibn-check falls back to the witness
+# search when --max-depth 1 is too short for the constructed witness.
+_DEFICIENT_TEXT = """\
+vertex u;
+vertex v;
+vertex w;
+edge a: u -> u;
+edge b: u -> u;
+edge c: u -> v;
+edge d: u -> v;
+edge e: v -> w;
+edge f: w -> v;
+"""
 
 
-def test_numpy_loads_only_when_a_search_runs(cli):
-    # A fresh interpreter runs every command that decides without a search
-    # and must not have loaded numpy; the first breadth-first search loads
-    # it.  Each command's exit code and output match the in-process run.
+def test_cli_runs_without_numpy(cli, tmp_path):
+    # A fresh interpreter in which importing numpy fails runs every command,
+    # two breadth-first searches among them, with the exit code and output
+    # of the in-process run.
+    deficient = tmp_path / "deficient.graph"
+    deficient.write_text(_DEFICIENT_TEXT)
+    commands = [
+        ["ibn-check", "--example", "r2", "--algebra", "leavitt"],
+        ["ibn-check", "--example", "r2", "--algebra", "cohn"],
+        ["ibn-check", "--family", "3", "1", "--algebra", "relative"],
+        ["ibn-check", str(deficient), "--algebra", "leavitt", "--max-depth", "1"],
+        ["companion", "--example", "r2"],
+        ["examples"],
+        ["family", "3", "1"],
+        ["monoid-equiv", "--example", "f-r2", "-a", "1,2", "-b", "2,4"],
+    ]
     script = (
         "import contextlib, io, json, sys\n"
-        "import cohnibn, cohnibn.cli\n"
-        "rows = [['import', 'numpy' in sys.modules]]\n"
+        "sys.modules['numpy'] = None\n"
+        "import cohnibn.cli\n"
+        "rows = []\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    out = io.StringIO()\n"
         "    with contextlib.redirect_stdout(out):\n"
         "        status = cohnibn.cli.main(argv)\n"
-        "    rows.append([argv, status, out.getvalue(), 'numpy' in sys.modules])\n"
+        "    rows.append([argv, status, out.getvalue()])\n"
         "print(json.dumps(rows))\n"
     )
     src = Path(cohnibn.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
     )}
-    commands = [*_NO_SEARCH_COMMANDS, _JOINED_PAIR]
     run = subprocess.run(
         [sys.executable, "-c", script, json.dumps(commands)],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     rows = json.loads(run.stdout)
-    assert rows[0] == ["import", False]
-    assert [row[0] for row in rows[1:]] == commands
-    assert [row[3] for row in rows[1:]] == [False] * len(_NO_SEARCH_COMMANDS) + [True]
-    for argv, status, out, _ in rows[1:]:
+    assert [row[0] for row in rows] == commands
+    for argv, status, out in rows:
         code, here, _ = cli(argv)
         assert (status, out) == (code, here), argv
+    assert "route: witness-search" in rows[3][2]
     assert "status: equivalent" in rows[-1][2]
