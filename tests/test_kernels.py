@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import cohnibn
 from cohnibn import (
     RewriteSystem,
@@ -188,6 +190,34 @@ def test_capped_level_keeps_a_prefix_of_the_uncapped_level():
         for node in range(len(side.vectors)):
             assert side.trace_to(node) == whole.trace_to(node)
     assert capped >= 10
+
+
+@pytest.mark.parametrize("rows", [1, 64])
+def test_levels_fired_in_blocks_match_whole_levels(rows):
+    # Firing a level a few frontier rows at a time, sharing seen and
+    # stopping at the first capped block, gives the whole level's output.
+    rng = random.Random(11)
+    capped = 0
+    for _ in range(200):
+        rs, frontier, seen, max_total, max_states = _random_case(rng)
+        blocked_seen = dict(seen)
+        whole = _fire(frontier, rs, max_total, seen, max_states)
+        children, parents, fired, pruned, stopped = [], [], [], 0, False
+        for start in range(0, len(frontier), rows):
+            got = _fire(frontier[start:start + rows], rs, max_total,
+                        blocked_seen, max_states)
+            children += got[0]
+            parents += [start + p for p in got[1]]
+            fired += got[2]
+            pruned += got[3]
+            stopped = got[4]
+            if stopped:
+                break
+        assert (children, parents, fired, pruned, stopped) == (
+            list(whole[0]), whole[1], whole[2], whole[3], whole[4])
+        assert blocked_seen == seen
+        capped += stopped
+    assert capped >= 20
 
 
 def test_zero_rules_and_empty_frontier():
