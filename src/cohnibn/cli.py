@@ -205,7 +205,7 @@ def _emit_report(report: dict, ns, text: str) -> None:
 
 def _cmd_companion(ns) -> int:
     graph, x_default, source = _resolve_input(ns)
-    x = regular_subset(graph, _parse_x(ns.x, default=()))
+    x = regular_subset(graph, _parse_x(ns.x, default=x_default))
     companion = relative_companion(graph, x)
     matrix = incidence(companion.graph)
     digest = _digest(graph, x)

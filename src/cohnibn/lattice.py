@@ -7,8 +7,8 @@ is K0 = Z^n / L (Ara-Moreno-Pardo, Nonstable K-theory for graph algebras,
 its order in K0 decides IBN: the algebra fails IBN exactly when that
 order is finite.
 
-Everything here is integer row reduction with the row combinations
-tracked, so every answer comes with the integer relation that proves it.
+Everything here is integer row reduction; torsion_order appends an
+identity block to its rows, so its answer carries the relation proving it.
 """
 
 from __future__ import annotations
@@ -18,58 +18,50 @@ from math import lcm
 from typing import Sequence
 
 
-def echelon_basis(
-    rows: Sequence[Sequence[int]],
-) -> list[tuple[int, list[int], list[int]]]:
+def echelon_basis(rows: Sequence[Sequence[int]]) -> list[tuple[int, list[int]]]:
     """An echelon Z-basis of the lattice spanned by integer rows.
 
-    Returns (pivot column, basis vector, combination) triples in pivot
-    order, where the combination t gives the vector as sum_i t_i * rows_i.
-    Vectors are zero left of their pivot and at every earlier pivot.  Only
-    unimodular row operations are used (Euclid on each pivot column), so
-    the vectors span exactly the lattice of the rows and, being in echelon
-    form, are independent.
+    Returns (pivot column, basis vector) pairs in pivot order.  Vectors are
+    zero left of their pivot and at every earlier pivot.  Only unimodular
+    row operations are used (Euclid on each pivot column), so the vectors
+    span exactly the lattice of the rows and, being in echelon form, are
+    independent.
     """
-    count = len(rows)
-    pool = [
-        ([int(a) for a in row], [int(i == j) for j in range(count)])
-        for i, row in enumerate(rows)
-        if any(row)
-    ]
+    pool = [[int(a) for a in row] for row in rows if any(row)]
     width = len(rows[0]) if rows else 0
     basis = []
     for col in range(width):
-        live = [p for p in pool if p[0][col]]
-        pool = [p for p in pool if not p[0][col]]
+        live = [vec for vec in pool if vec[col]]
+        pool = [vec for vec in pool if not vec[col]]
         while len(live) > 1:
-            live.sort(key=lambda p: abs(p[0][col]))
-            head_vec, head_comb = live[0]
-            keep = [live[0]]
-            for vec, comb in live[1:]:
-                q = vec[col] // head_vec[col]
-                vec = [a - q * b for a, b in zip(vec, head_vec)]
-                comb = [a - q * b for a, b in zip(comb, head_comb)]
+            live.sort(key=lambda vec: abs(vec[col]))
+            head = live[0]
+            keep = [head]
+            for vec in live[1:]:
+                q = vec[col] // head[col]
+                vec = [a - q * b for a, b in zip(vec, head)]
                 if vec[col]:
-                    keep.append((vec, comb))
+                    keep.append(vec)
                 elif any(vec):
-                    pool.append((vec, comb))
+                    pool.append(vec)
             live = keep
         if live:
-            basis.append((col, *live[0]))
+            basis.append((col, live[0]))
     return basis
 
 
 def _coordinates(
-    basis: list[tuple[int, list[int], list[int]]], y: Sequence[int]
+    basis: list[tuple[int, list[int]]], y: Sequence[int]
 ) -> tuple[list[Fraction], list[Fraction]]:
     """y = sum_j c_j * basis_j + rest, with rest zero at every pivot.
 
     Returns the rational coefficients c_j and the remainder; y lies in the
-    rational span of the basis exactly when the remainder is zero.
+    rational span of the basis exactly when the remainder is zero.  Basis
+    vectors longer than y are read at their first len(y) entries only.
     """
     rest = [Fraction(int(a)) for a in y]
     coefficients = []
-    for col, vec, _ in basis:
+    for col, vec in basis:
         c = rest[col] / vec[col]
         if c:
             rest = [r - c * a for r, a in zip(rest, vec)]
@@ -86,20 +78,27 @@ def torsion_order(
     and k * y == sum_i lam_i * rows_i exactly, or None when no multiple of
     y does (y outside the rational span of the rows).
 
-    y is written in the echelon basis with rational coefficients c_j; as
-    the basis is a Z-basis, k * y is in the lattice exactly when every
-    k * c_j is an integer, so k is the lcm of their denominators.
+    The echelon of [rows | I] carries each basis vector's combination of
+    the rows in its identity part.  y has rational coefficients c_j in that
+    Z-basis, so k * y is in the lattice exactly when every k * c_j is an
+    integer: k is the lcm of their denominators.
     """
-    basis = echelon_basis(rows)
+    n, count = len(y), len(rows)
+    augmented = [
+        [*row, *(int(i == j) for j in range(count))] for i, row in enumerate(rows)
+    ]
+    # Entries pivoting inside the identity block have a zero row part:
+    # their identity parts span the rows' integer kernel, unused here.
+    basis = [(col, vec) for col, vec in echelon_basis(augmented) if col < n]
     coefficients, rest = _coordinates(basis, y)
     if any(rest):
         return None
     k = lcm(1, *(c.denominator for c in coefficients))
     lam = [0] * len(rows)
-    for c, (_, _, comb) in zip(coefficients, basis):
+    for c, (_, vec) in zip(coefficients, basis):
         scaled = int(c * k)
         if scaled:
-            lam = [a + scaled * t for a, t in zip(lam, comb)]
+            lam = [a + scaled * t for a, t in zip(lam, vec[n:])]
     return k, tuple(lam)
 
 
@@ -137,7 +136,7 @@ def separating_functional(
         target = [int(i == j) for i in range(len(basis))]
     # b_j is zero at every earlier pivot, so u . b_j involves u only at
     # b_j's own pivot and later ones: solve from the last pivot back.
-    for (col, vec, _), t in reversed(list(zip(basis, target))):
+    for (col, vec), t in reversed(list(zip(basis, target))):
         u[col] = (t - sum(a * b for a, b in zip(u, vec))) / vec[col]
     scale = lcm(1, *(c.denominator for c in u))
     w = [int(c * scale) for c in u]

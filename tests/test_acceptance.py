@@ -306,7 +306,8 @@ def test_criterion_11_imn_inference():
           "across the corpus")
 
 
-def test_criterion_12_cli_determinism():
+def criterion_12_invocations() -> list[list[str]]:
+    """The CLI calls whose reports criterion 12 runs twice."""
     invocations = []
     for name, _, x in corpus_graphs():
         if name.startswith("family"):
@@ -337,6 +338,11 @@ def test_criterion_12_cli_determinism():
         ["ibn-check", "--example", "r2", "--algebra", "leavitt",
          "--max-coeff", "1"],
     ]
+    return invocations
+
+
+def test_criterion_12_cli_determinism():
+    invocations = criterion_12_invocations()
     for argv in invocations:
         first = run_cli(argv)
         second = run_cli(argv)

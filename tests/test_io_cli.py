@@ -1,5 +1,7 @@
 """Graph file parsing/emission and the command-line interface."""
 
+import hashlib
+import io
 import json
 import os
 import random
@@ -34,6 +36,8 @@ from cohnibn import (
 )
 from cohnibn.cli import EXIT_INPUT, EXIT_OK, EXIT_REFUTED, EXIT_UNKNOWN, EXIT_USAGE
 from conftest import LONG_WITNESS_ROWS, graph_from_rows, make_random_graph
+from test_acceptance import criterion_12_invocations
+from test_decision import _DEFICIENT
 
 _PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 _README = _PYPROJECT.with_name("README.md")
@@ -169,6 +173,24 @@ def test_cli_companion_with_x(cli):
     code, _, err = cli(["companion", "--example", "line", "--x", "w"])
     assert code == EXIT_INPUT
     assert "not a regular vertex" in err
+
+
+def test_cli_companion_takes_the_suggested_x(cli):
+    # Without --x, companion builds E(X) for the X that --family suggests,
+    # the same target that ibn-check --algebra relative decides.
+    code, out, _ = cli(["companion", "--family", "3", "2", "--format", "json"])
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert report["arguments"]["x"] == ["v2", "v3"]
+    _, out, _ = cli(["ibn-check", "--family", "3", "2", "--algebra", "relative",
+                     "--format", "json"])
+    checked = json.loads(out)
+    assert report["result"]["graph"] == checked["result"]["target"]
+    assert report["input"]["digest"] == checked["input"]["digest"]
+    # An explicit --x wins over the suggestion.
+    _, out, _ = cli(["companion", "--family", "3", "2", "--x", "v3",
+                     "--format", "json"])
+    assert json.loads(out)["arguments"]["x"] == ["v3"]
 
 
 def test_cli_x_spellings_give_one_report(cli):
@@ -742,6 +764,106 @@ def test_cli_reports_are_deterministic(cli):
         assert first == second
 
 
+def _pinned_invocations():
+    """(argv, stdin) pairs: criterion 12's calls, then the routes and reasons
+    those miss, each in both formats.  disjoint-closures is not among them:
+    no graph input was found that reaches it, as the lattice check settles
+    every pair tried whose closures are complete."""
+    extras = [
+        # witness-search
+        (["ibn-check", "-", "--algebra", "leavitt", "--max-depth", "1"],
+         emit_graph_text(_DEFICIENT)),
+        # exhausted after a search
+        (["ibn-check", "--example", "family-3-2", "--algebra", "leavitt",
+          "--max-coeff", "5"], None),
+        # gamma-separation
+        (["monoid-equiv", "--example", "f-r2", "-a", "1,0", "-b", "0,1"], None),
+        # lattice-separation with d = 0, then with d = 2 on a rose with 3 loops
+        (["monoid-equiv", "--example", "r2", "--presentation", "cohn",
+          "-a", "1,0", "-b", "2,0"], None),
+        (["monoid-equiv", "-", "-a", "1", "-b", "2"],
+         emit_graph_text(graph_from_rows(((3,),)))),
+        # unknown: the state cap trips before the closures meet
+        (["monoid-equiv", "--example", "r2", "-a", "1", "-b", "3",
+          "--max-states", "1"], None),
+        # companion with the X that --family suggests
+        (["companion", "--family", "3", "2"], None),
+    ]
+    return [(argv, None) for argv in criterion_12_invocations()] + [
+        ([*argv, "--format", fmt], stdin)
+        for argv, stdin in extras
+        for fmt in ("text", "json")
+    ]
+
+
+# The first 16 hex digits of sha256("<exit code>\n<stdout>") per call.  A
+# change that alters a report re-pins its digest here and names it in CHANGES.md.
+_PINNED_REPORTS = {
+    "examples line": "b70596155352438f",
+    "companion --example line": "dd933e5b2d33c02b",
+    "ibn-check --example line --algebra cohn": "e66d4ccc5eb98d89",
+    "ibn-check --example line --algebra leavitt --format json": "adf996c8126ba86f",
+    "examples r2": "1e46d114edeef2f6",
+    "companion --example r2": "20ba9367aa5d2ec6",
+    "ibn-check --example r2 --algebra cohn": "684f0bfb664e89c9",
+    "ibn-check --example r2 --algebra leavitt --format json": "fd53af62fc16de35",
+    "examples f-r2": "a11b588a3a9af82e",
+    "companion --example f-r2": "fb96b7af730ff770",
+    "ibn-check --example f-r2 --algebra cohn": "52b92a5c13c32e5e",
+    "ibn-check --example f-r2 --algebra leavitt --format json": "647729a240c5f8ab",
+    "examples f-line": "0f3614fe97d07d0a",
+    "companion --example f-line": "6e9aaeb9faff820d",
+    "ibn-check --example f-line --algebra cohn": "f8bd0d27841c504e",
+    "ibn-check --example f-line --algebra leavitt --format json": "448af3bf455395ab",
+    "examples": "dda4a2daf1dda103",
+    "examples family-3-2": "644706f014df1104",
+    "family 3 2": "2c141f35c9311121",
+    "family 2 1 --format json": "95cc2c88c3ca1e70",
+    "companion --family 2 1 --x v2 --format json": "cef5399dedb2ec34",
+    "ibn-check --example relative-2-1 --algebra relative": "81692531987c81fe",
+    "ibn-check --family 3 2 --algebra relative --format json": "88f0deff16e3f9c7",
+    "monoid-equiv --example f-r2 -a 1,0 -b 2,0": "1f3c884b20fd9a7f",
+    "monoid-equiv --example f-r2 -a 1,2 -b 2,4 --format json": "20ba3852592b3fa6",
+    "monoid-equiv --example r2 --presentation cohn -a 1,0 -b 2,1": "a93f24150028f6fe",
+    "ibn-check --example r2 --algebra leavitt --max-coeff 1": "1da725e622deb85c",
+    "ibn-check - --algebra leavitt --max-depth 1 --format text": "b91e2e05d4a18152",
+    "ibn-check - --algebra leavitt --max-depth 1 --format json": "f9456ba8a67a6022",
+    "ibn-check --example family-3-2 --algebra leavitt --max-coeff 5 --format text":
+        "25d7ba14ecdea3a8",
+    "ibn-check --example family-3-2 --algebra leavitt --max-coeff 5 --format json":
+        "895044dc9d3e1ed4",
+    "monoid-equiv --example f-r2 -a 1,0 -b 0,1 --format text": "48276a71eb855085",
+    "monoid-equiv --example f-r2 -a 1,0 -b 0,1 --format json": "241f08738673f84b",
+    "monoid-equiv --example r2 --presentation cohn -a 1,0 -b 2,0 --format text":
+        "73b60c0e5f0fdc38",
+    "monoid-equiv --example r2 --presentation cohn -a 1,0 -b 2,0 --format json":
+        "d286d93eadadb9c5",
+    "monoid-equiv - -a 1 -b 2 --format text": "544010bc934dc762",
+    "monoid-equiv - -a 1 -b 2 --format json": "bb05aa9c5aaa1c2a",
+    "monoid-equiv --example r2 -a 1 -b 3 --max-states 1 --format text":
+        "1f25d969237c65f0",
+    "monoid-equiv --example r2 -a 1 -b 3 --max-states 1 --format json":
+        "0e653aa6be14b31e",
+    "companion --family 3 2 --format text": "ffe825f2bae2d41e",
+    "companion --family 3 2 --format json": "45ef1892a155c397",
+}
+
+
+def test_cli_report_bytes_are_pinned(cli, monkeypatch):
+    changed = {}
+    for argv, stdin in _pinned_invocations():
+        if stdin is not None:
+            monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        code, out, err = cli(argv)
+        assert err == "", argv
+        digest = hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()[:16]
+        key = " ".join(argv)
+        if _PINNED_REPORTS.get(key) != digest:
+            changed[key] = digest
+    assert changed == {}
+    assert len(_PINNED_REPORTS) == len(_pinned_invocations())
+
+
 # Out-of-range values come from fixed sets.  So that many calls get past
 # argument checking into the search, in-range values are listed first
 # (hypothesis draws early entries more often), half the vectors are 0/1
@@ -750,10 +872,8 @@ def test_cli_reports_are_deterministic(cli):
 _COEFFS = st.sampled_from(["1", "0", str(2**62), "-5", str(2**62 + 1), str(2**63),
                            str(10**20), "", "x"])
 _SMALL = st.sampled_from(["7", "1", str(2**62), "0", "-5"])
-# --max-coeff 2**62 is left out: with --max-depth 2**62 too, a fallback
-# witness search would try about 2**62 / |rho| values of m.
-_MAX_COEFF = st.sampled_from(["64", "1", "0", "-5", str(2**62 + 1), str(2**63),
-                              str(10**20)])
+_MAX_COEFF = st.sampled_from(["64", str(2**62), "1", "0", "-5", str(2**62 + 1),
+                              str(2**63), str(10**20)])
 _MAX_STATES = st.sampled_from(["1000", "7", "1", "0", "-5"])
 
 

@@ -81,17 +81,25 @@ def test_torsion_order_small_cases():
 def test_echelon_basis_is_an_echelon_z_basis():
     rows = [[4, 6, 2], [6, 9, 3], [2, 0, 8], [0, 3, 1]]
     basis = echelon_basis(rows)
-    pivots = [col for col, _, _ in basis]
+    pivots = [col for col, _ in basis]
     assert pivots == sorted(set(pivots))
-    for j, (col, vec, comb) in enumerate(basis):
+    for j, (col, vec) in enumerate(basis):
         assert vec[col] != 0
         assert all(a == 0 for a in vec[:col])
         assert all(vec[p] == 0 for p in pivots[:j])
-        assert _combine(comb, rows, 3) == vec
+    # Every basis vector is an integer combination of the rows: the echelon
+    # of [rows | I] has basis as its row part, and its identity part
+    # recombines the rows into each of its vectors.
+    augmented = echelon_basis(
+        [[*row, *(int(i == j) for j in range(4))] for i, row in enumerate(rows)]
+    )
+    assert [(col, vec[:3]) for col, vec in augmented if col < 3] == basis
+    for _, vec in augmented:
+        assert _combine(vec[3:], rows, 3) == vec[:3]
     # Every input row is an integer combination of the basis.
     for row in rows:
         rest = list(row)
-        for col, vec, _ in basis:
+        for col, vec in basis:
             q, r = divmod(rest[col], vec[col])
             assert r == 0
             rest = [a - q * b for a, b in zip(rest, vec)]
