@@ -243,11 +243,9 @@ def _cmd_companion(ns) -> int:
 
 def _cmd_ibn_check(ns) -> int:
     graph, x_default, source = _resolve_input(ns)
-    x = _parse_x(ns.x, default=x_default)
-    if ns.algebra != KIND_RELATIVE and x:
-        if ns.x is not None:
-            raise _UsageError("--x only applies to --algebra relative")
-        x = ()
+    if ns.algebra != KIND_RELATIVE and ns.x is not None:
+        raise _UsageError("--x only applies to --algebra relative")
+    x = _parse_x(ns.x, default=x_default) if ns.algebra == KIND_RELATIVE else ()
     x = regular_subset(graph, x)
     spec = AlgebraSpec(kind=ns.algebra, graph=graph, x=x)
     bounds = _bounds(ns)
@@ -260,7 +258,7 @@ def _cmd_ibn_check(ns) -> int:
         "algebra": ns.algebra,
         "x": list(x),
         "target": graph_as_dict(verdict.target),
-        "generators": list(verdict.generators),
+        "generators": list(verdict.target.vertices),
         "route": verdict.route,
         "ibn": verdict.ibn,
         "imn": verdict.imn,
@@ -279,8 +277,8 @@ def _cmd_ibn_check(ns) -> int:
             "m": w.m,
             "m_prime": w.m_prime,
             "descendant": list(w.descendant),
-            "trace_m": _trace_dict(w.trace_a, verdict.generators),
-            "trace_m_prime": _trace_dict(w.trace_b, verdict.generators),
+            "trace_m": _trace_dict(w.trace_a, verdict.target.vertices),
+            "trace_m_prime": _trace_dict(w.trace_b, verdict.target.vertices),
         }
 
     status = verdict.ibn
@@ -300,7 +298,7 @@ def _cmd_ibn_check(ns) -> int:
         f"graph: {len(graph.vertices)} vertices, {len(graph.edges)} edges",
         f"target: {len(verdict.target.vertices)} vertices, "
         f"{len(verdict.target.edges)} edges",
-        "generators: " + " ".join(verdict.generators),
+        "generators: " + " ".join(verdict.target.vertices),
         f"route: {verdict.route}",
         f"ibn: {verdict.ibn}",
     ]
@@ -312,8 +310,8 @@ def _cmd_ibn_check(ns) -> int:
         w = verdict.witness
         lines.append(f"witness: {w.m}*rho ~ {w.m_prime}*rho, "
                      f"descendant {_vec_str(w.descendant)}")
-        lines.append("trace m: " + _trace_str(w.trace_a, verdict.generators))
-        lines.append("trace m': " + _trace_str(w.trace_b, verdict.generators))
+        lines.append("trace m: " + _trace_str(w.trace_a, verdict.target.vertices))
+        lines.append("trace m': " + _trace_str(w.trace_b, verdict.target.vertices))
     lines.append(f"imn: {verdict.imn}")
     lines.extend(f"note: {note}" for note in verdict.notes)
     lines.append(

@@ -21,7 +21,7 @@ from .certificates import WeightCertificate, solve_exact, verify_certificate
 from .construct import cohn_companion, relative_companion
 from .errors import CohnIbnError, InternalInvariantViolation
 from .graphs import Graph, incidence, validate
-from .lattice import echelon_basis, torsion_order
+from .lattice import torsion_order
 from .rewriting import (
     ReductionTrace,
     RewriteSystem,
@@ -64,7 +64,6 @@ class AlgebraSpec:
 @dataclass(frozen=True)
 class Verdict:
     target: Graph
-    generators: tuple[str, ...]
     ibn: str
     imn: str
     certificate: WeightCertificate | None
@@ -116,7 +115,6 @@ def decide_ibn(
     def verdict(ibn, route, certificate=None, witness=None) -> Verdict:
         return Verdict(
             target=target,
-            generators=rs.generators,
             ibn=ibn,
             imn=IMN_UNKNOWN,
             certificate=certificate,
@@ -148,7 +146,7 @@ def decide_ibn(
         raise InternalInvariantViolation(
             "weight system inconsistent, yet [1] has infinite order in K0"
         )
-    k0, relation = torsion
+    k0, relation, kernel = torsion
     notes.append(f"order of [1] in K0: k0={k0}")
 
     built = construct_scalar_witness(rs, k0, relation, bounds)
@@ -171,10 +169,10 @@ def decide_ibn(
                 f"constructed witness breaks {flag}={limit}: "
                 f"raise {flag} to {value}"
             )
-        # With full-rank rows, a witness of any pair fires j*lam^- + s and
-        # j*lam^+ + s for some j >= 1 and s >= 0, and no firing lowers a
-        # total: none is shallower or has a lower peak than this one.
-        if len(echelon_basis(rs.relation_rows())) == rs.num_rules:
+        # With full-rank rows (an empty kernel), a witness of any pair fires
+        # j*lam^- + s and j*lam^+ + s for some j >= 1 and s >= 0, and no
+        # firing lowers a total: none is shallower or peaks lower than this.
+        if not kernel:
             notes.extend(breaks)
             notes.append(
                 "relation rows have full rank, so every witness fires the "
@@ -237,8 +235,6 @@ def audit(verdict: Verdict, spec: AlgebraSpec) -> bool:
     if target != verdict.target:
         return False
     rs = monoid_presentation(incidence(target))
-    if rs.generators != verdict.generators:
-        return False
     if verdict.imn == IMN_HOLDS and verdict.ibn != IBN_CERTIFIED:
         return False
 

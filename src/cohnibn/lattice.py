@@ -8,7 +8,8 @@ its order in K0 decides IBN: the algebra fails IBN exactly when that
 order is finite.
 
 Everything here is integer row reduction; torsion_order appends an
-identity block to its rows, so its answer carries the relation proving it.
+identity block to its rows, so its answer carries the relation proving
+it and, from the same echelon, the rows' integer kernel.
 """
 
 from __future__ import annotations
@@ -71,25 +72,29 @@ def _coordinates(
 
 def torsion_order(
     rows: Sequence[Sequence[int]], y: Sequence[int]
-) -> tuple[int, tuple[int, ...]] | None:
-    """The order k of y modulo the lattice of the rows, with its relation.
+) -> tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]] | None:
+    """The order k of y modulo the lattice of the rows, with its relation
+    and the rows' integer kernel.
 
-    Returns (k, lam) with k >= 1 least such that k * y lies in the lattice
-    and k * y == sum_i lam_i * rows_i exactly, or None when no multiple of
-    y does (y outside the rational span of the rows).
+    Returns (k, lam, kernel), or None when y is outside the rational span
+    of the rows.  k >= 1 is least with k * y == sum_i lam_i * rows_i
+    exactly, and kernel is a Z-basis of {mu : sum_i mu_i * rows_i == 0},
+    empty exactly when the rows have full rank.
 
     The echelon of [rows | I] carries each basis vector's combination of
-    the rows in its identity part.  y has rational coefficients c_j in that
-    Z-basis, so k * y is in the lattice exactly when every k * c_j is an
-    integer: k is the lcm of their denominators.
+    the rows in its identity part.  The entries pivoting inside the
+    identity block have a zero row part, and their identity parts are the
+    kernel.  y has rational coefficients c_j in the other entries, a
+    Z-basis of the lattice, so k * y is in it exactly when every k * c_j
+    is an integer: k is the lcm of their denominators.
     """
     n, count = len(y), len(rows)
     augmented = [
         [*row, *(int(i == j) for j in range(count))] for i, row in enumerate(rows)
     ]
-    # Entries pivoting inside the identity block have a zero row part:
-    # their identity parts span the rows' integer kernel, unused here.
-    basis = [(col, vec) for col, vec in echelon_basis(augmented) if col < n]
+    echelon = echelon_basis(augmented)
+    basis = [(col, vec) for col, vec in echelon if col < n]
+    kernel = tuple(tuple(vec[n:]) for col, vec in echelon if col >= n)
     coefficients, rest = _coordinates(basis, y)
     if any(rest):
         return None
@@ -99,7 +104,7 @@ def torsion_order(
         scaled = int(c * k)
         if scaled:
             lam = [a + scaled * t for a, t in zip(lam, vec[n:])]
-    return k, tuple(lam)
+    return k, tuple(lam), kernel
 
 
 def separating_functional(

@@ -180,7 +180,6 @@ class EquivalenceOutcome:
     trace_b: ReductionTrace | None = None
     reason: str | None = None
     gamma_values: tuple | None = None
-    truncated: bool = False
     lattice: LatticeSeparation | None = None
 
 
@@ -550,7 +549,7 @@ def decide_equivalent(
         return EquivalenceOutcome(
             status=NOT_EQUIVALENT, reason="disjoint-closures"
         )
-    return EquivalenceOutcome(status=UNKNOWN, truncated=True)
+    return EquivalenceOutcome(status=UNKNOWN)
 
 
 def find_scalar_witness(

@@ -155,7 +155,7 @@ def test_audit_rejects_tampered_certificate():
     spec = AlgebraSpec(kind=KIND_COHN, graph=rose_two())
     verdict = decide_imn(decide_ibn(spec))
     bad_cert = WeightCertificate(
-        weights=(Fraction(3), Fraction(-2)), generators=verdict.generators
+        weights=(Fraction(3), Fraction(-2)), generators=verdict.target.vertices
     )
     tampered = dataclasses.replace(verdict, certificate=bad_cert)
     assert not audit(tampered, spec)
@@ -329,7 +329,7 @@ def test_construction_agrees_with_the_search_it_replaces():
             continue
         rows = rs.relation_rows()
         rho = (1,) * rs.num_generators
-        k0, relation = torsion_order(rows, rho)
+        k0, relation, _ = torsion_order(rows, rho)
         bounds = tight[targets % len(tight)]
         targets += 1
         deficient += len(echelon_basis(rows)) < rs.num_rules
@@ -398,7 +398,7 @@ def test_search_skips_pairs_over_the_coefficient_cap(monkeypatch):
     monkeypatch.setattr(cohnibn.rewriting, "forward_closure", recording)
     bounds = SearchBounds(max_states=1000)
     rs = monoid_presentation(incidence(graph))
-    k0, _ = torsion_order(rs.relation_rows(), (1,) * rs.num_generators)
+    k0, _, _ = torsion_order(rs.relation_rows(), (1,) * rs.num_generators)
     find_scalar_witness((1,) * rs.num_generators, rs, bounds, step=k0)
     spec = AlgebraSpec(kind=KIND_LEAVITT, graph=graph)
     verdict = decide_imn(decide_ibn(spec, bounds))
@@ -461,7 +461,7 @@ def test_skipped_pairs_leave_the_search_result_unchanged(monkeypatch):
         if solve_exact(rs) is not None or len(echelon_basis(rows)) == rs.num_rules:
             continue
         targets += 1
-        k0, _ = torsion_order(rows, (1,) * rs.num_generators)
+        k0, _, _ = torsion_order(rows, (1,) * rs.num_generators)
         n = rs.num_generators
         for _ in range(6):
             x = (1,) * n if rng.random() < 0.7 else tuple(

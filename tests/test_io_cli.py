@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import cohnibn
 from cohnibn import (
+    CohnIbnError,
     Edge,
     GraphParseError,
     cohn_presentation,
@@ -369,10 +370,14 @@ def test_cli_out_of_range_coefficients_are_input_errors(cli):
 
 
 def test_cli_ibn_check_x_requires_relative(cli):
-    code, _, err = cli(
-        ["ibn-check", "--example", "r2", "--algebra", "cohn", "--x", "v"]
-    )
-    assert code == EXIT_USAGE
+    # Refused whenever --x is given, even when it names no vertex.
+    for algebra in ("cohn", "leavitt"):
+        for value in ("v", "", ",", " "):
+            code, out, err = cli(
+                ["ibn-check", "--example", "r2", "--algebra", algebra, "--x", value]
+            )
+            assert code == EXIT_USAGE, (algebra, value)
+            assert "--x only applies to --algebra relative" in err and not out
 
 
 def _ibn_check_child(args, stdin=None, timeout=20, address_limit=None):
@@ -882,36 +887,93 @@ def _flag(draw, name, values):
     return [] if value is None else [name, value]
 
 
+# Graph files: a valid graph on v0..v{n-1}, with up to two faults added.
+# A text fault is a repeated name, an edge to the unknown v4 or a line
+# that does not parse; a JSON fault drops a key or gives it a wrong value.
+_TEXT_FAULTS = st.sampled_from([
+    "vertex v0;", "edge e0: v0 -> v0;", "edge e9: v0 -> v4;", "vertx v0;",
+    "vertex v0", "vertex ;", "edge e9: v0 -> ;", "edge e9 v0 -> v1;", "{", "# note",
+])
+_JSON_JUNK = st.one_of(
+    st.sampled_from(["v0", "v4", "bad name", ""]),
+    st.integers(-1, 2), st.none(), st.lists(st.just("v0"), max_size=1),
+)
+
+
+@st.composite
+def _graph_files(draw):
+    n = draw(st.integers(1, 4))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=6))
+    faults = draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        lines = [f"vertex v{i};" for i in range(n)]
+        lines += [f"edge e{j}: v{a} -> v{b};" for j, (a, b) in enumerate(pairs)]
+        lines += draw(st.lists(_TEXT_FAULTS, min_size=faults, max_size=faults))
+        return "\n".join(draw(st.permutations(lines)))
+    edges = [{"name": f"e{j}", "from": f"v{a}", "to": f"v{b}"}
+             for j, (a, b) in enumerate(pairs)]
+    data = {"vertices": [f"v{i}" for i in range(n)], "edges": edges}
+    for _ in range(faults):
+        obj = draw(st.sampled_from([data, *edges]))
+        key = draw(st.sampled_from(sorted(obj) or ["name"]))
+        if draw(st.booleans()):
+            obj.pop(key, None)
+        else:
+            obj[key] = draw(_JSON_JUNK)
+    return json.dumps(data)
+
+
+_X = st.sampled_from(["v0", "v0,v1", "", "v4"])
+
+
 @st.composite
 def _cli_calls(draw):
-    example = draw(st.sampled_from(["line", "r2", "f-r2", "f-line", "relative-2-1",
-                                    "family-3-2"]))
+    """(argv, stdin): a call on a built-in example, or on a graph file
+    drawn by _graph_files and read from stdin with a small --max-states."""
     bounds = (_flag(draw, "--max-coeff", _MAX_COEFF)
-              + _flag(draw, "--max-depth", _SMALL)
-              + _flag(draw, "--max-states", _MAX_STATES))
+              + _flag(draw, "--max-depth", _SMALL))
     if draw(st.booleans()):
-        presentation = draw(st.sampled_from(["graph", "cohn"]))
-        graph = load_example(example)[0]
+        source, stdin = ["-"], draw(_graph_files())
+        bounds += ["--max-states", draw(st.sampled_from(["50", "7", "1"]))]
+        command = draw(st.sampled_from(["companion", "ibn-check", "monoid-equiv"]))
+    else:
+        example = draw(st.sampled_from(["line", "r2", "f-r2", "f-line",
+                                        "relative-2-1", "family-3-2"]))
+        source, stdin = ["--example", example], None
+        bounds += _flag(draw, "--max-states", _MAX_STATES)
+        command = draw(st.sampled_from(["ibn-check", "monoid-equiv"]))
+    if command == "companion":
+        return ["companion", *source, *_flag(draw, "--x", _X)], stdin
+    if command == "ibn-check":
+        return ["ibn-check", *source,
+                "--algebra", draw(st.sampled_from(["cohn", "relative", "leavitt"])),
+                *_flag(draw, "--x", _X), *bounds], stdin
+    presentation = draw(st.sampled_from(["graph", "cohn"]))
+    try:
+        graph = (load_example(example)[0] if stdin is None
+                 else validate(parse_graph(stdin)))
         rs = (cohn_presentation(graph) if presentation == "cohn"
               else monoid_presentation(incidence(graph)))
-        vectors = st.one_of(
-            st.lists(_COEFFS, max_size=8),
-            st.lists(st.sampled_from(["1", "0"]), min_size=rs.num_generators,
-                     max_size=rs.num_generators),
-        ).map(",".join)
-        return ["monoid-equiv", "--example", example, "--presentation", presentation,
-                f"--vec-a={draw(vectors)}", f"--vec-b={draw(vectors)}", *bounds]
-    return ["ibn-check", "--example", example,
-            "--algebra", draw(st.sampled_from(["cohn", "relative", "leavitt"])),
-            *bounds]
+        width = rs.num_generators
+    except CohnIbnError:
+        width = 1  # the graph is refused before the vectors are read
+    vectors = st.one_of(
+        st.lists(_COEFFS, max_size=8),
+        st.lists(st.sampled_from(["1", "0"]), min_size=width, max_size=width),
+    ).map(",".join)
+    return ["monoid-equiv", *source, "--presentation", presentation,
+            f"--vec-a={draw(vectors)}", f"--vec-b={draw(vectors)}", *bounds], stdin
 
 
 @given(_cli_calls())
-@example(["ibn-check", "--example", "r2", "--algebra", "leavitt",
-          "--max-coeff", str(2**62), "--max-states", "1"])
-@settings(max_examples=200, deadline=None,
+@example((["ibn-check", "--example", "r2", "--algebra", "leavitt",
+           "--max-coeff", str(2**62), "--max-states", "1"], None))
+@settings(max_examples=400, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_cli_fuzz_never_crashes(cli, argv):
+def test_cli_fuzz_never_crashes(cli, monkeypatch, call):
+    argv, stdin = call
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin or ""))
     code, _, err = cli(argv)
-    assert code in (EXIT_OK, EXIT_USAGE, EXIT_INPUT, EXIT_REFUTED, EXIT_UNKNOWN), argv
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_INPUT, EXIT_REFUTED, EXIT_UNKNOWN), call
     assert "Traceback" not in err

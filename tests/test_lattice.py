@@ -68,14 +68,53 @@ def _solve_left(matrix, y):
 
 def test_torsion_order_small_cases():
     # Z / 3Z: the order of 1 is 3, with 3 = 1 * 3.
-    assert torsion_order([[3]], [1]) == (3, (1,))
+    assert torsion_order([[3]], [1]) == (3, (1,), ())
     # Rose with two loops: e_v - 2 e_v = -1, so [1] = 0 and k = 1.
-    assert torsion_order([[-1]], [1]) == (1, (-1,))
+    assert torsion_order([[-1]], [1]) == (1, (-1,), ())
     # Outside the rational span: no multiple lies in the lattice.
     assert torsion_order([[1, -1]], [1, 1]) is None
     assert torsion_order([], [1]) is None
     # y = 0 has order 1 with the zero relation.
-    assert torsion_order([[2, 4]], [0, 0]) == (1, (0,))
+    assert torsion_order([[2, 4]], [0, 0]) == (1, (0,), ())
+
+
+def test_torsion_order_kernel_is_a_basis_of_the_row_relations():
+    rng = random.Random(31)
+    deficient = 0
+    for _ in range(400):
+        width = rng.randint(1, 5)
+        rows = [[rng.randint(-3, 3) for _ in range(width)]
+                for _ in range(rng.randint(0, 6))]
+        # Half the time the last row is an integer combination c of the
+        # others, so the rank falls short of the row count.  The relation
+        # (c, -1) is then in the integer kernel, so it must be an integer
+        # combination of the kernel basis, not only a rational one.
+        relation = None
+        if len(rows) > 1 and rng.random() < 0.5:
+            c = [rng.randint(-2, 2) for _ in rows[:-1]]
+            rows[-1] = _combine(c, rows[:-1], width)
+            relation = [*c, -1]
+        y = _combine([rng.randint(-3, 3) for _ in rows], rows, width)
+        k, lam, kernel = torsion_order(rows, y)
+        assert k == 1 and _combine(lam, rows, width) == y
+        assert len(kernel) == len(rows) - len(echelon_basis(rows)), rows
+        for mu in kernel:
+            assert len(mu) == len(rows) and any(mu)
+            assert _combine(mu, rows, width) == [0] * width
+        if relation is not None:
+            rest = relation
+            for col, vec in echelon_basis(kernel):
+                q, r = divmod(rest[col], vec[col])
+                assert r == 0, (rows, kernel)
+                rest = [a - q * b for a, b in zip(rest, vec)]
+            assert not any(rest)
+        deficient += bool(kernel)
+    assert deficient >= 100
+    # G's rows have rank 8 of 9, and their one relation is kappa.
+    rs = monoid_presentation(incidence(graph_from_rows(LONG_WITNESS_ROWS)))
+    kappa = (-931, 1309, -227, 376, 227, 698, -1387, -228, -488)
+    _, _, kernel = torsion_order(rs.relation_rows(), (1,) * rs.num_generators)
+    assert kernel in ((kappa,), (tuple(-a for a in kappa),))
 
 
 def test_echelon_basis_is_an_echelon_z_basis():
@@ -119,7 +158,7 @@ def test_torsion_order_matches_definition_on_random_graphs():
         if result is None:
             continue
         torsion += 1
-        k, lam = result
+        k, lam, _ = result
         assert k >= 1 and len(lam) == len(rows)
         assert _combine(lam, rows, matrix.size) == [k * a for a in rho]
     assert torsion >= 20
@@ -142,7 +181,7 @@ def test_torsion_order_is_minimal_against_an_inverse():
         if z is None:
             continue
         expected = lcm(*(c.denominator for c in z))
-        k, lam = torsion_order(relation, [1] * n)
+        k, lam, _ = torsion_order(relation, [1] * n)
         assert k == expected, (a, z)
         assert list(lam) == [int(c * k) for c in z]
         orders.add(k)
@@ -226,7 +265,7 @@ def test_certificate_or_replayable_torsion_witness(graph):
     assert (torsion is None) == (reference_weights(matrix) is not None)
     if torsion is None:
         return
-    k, lam = torsion
+    k, lam, _ = torsion
     generous = SearchBounds(max_total_coefficient=10**9, max_depth=10**6)
     built = construct_scalar_witness(rs, k, lam, bounds=generous)
     w = built.witness
@@ -239,7 +278,7 @@ def test_certificate_or_replayable_torsion_witness(graph):
 
 def test_construction_reports_each_broken_bound():
     rs = monoid_presentation(incidence(rose_two()))
-    k, lam = torsion_order([[-1]], [1])
+    k, lam, _ = torsion_order([[-1]], [1])
     ok = construct_scalar_witness(rs, k, lam)
     assert (ok.witness.m, ok.witness.m_prime) == (1, 2)
     assert ok.witness.trace_a.steps == ((0, (2,)),)
@@ -261,7 +300,7 @@ def test_construction_reports_each_broken_bound():
          ("e", "w", "u"), ("f", "w", "w")],
     )
     rs = monoid_presentation(incidence(g))
-    assert torsion_order(_relation_rows(incidence(g)), [1, 1]) == (3, (-3, -1))
+    assert torsion_order(_relation_rows(incidence(g)), [1, 1]) == (3, (-3, -1), ())
     deep = construct_scalar_witness(rs, 3, (-3, -1), bounds=SearchBounds(max_depth=3))
     assert deep.witness is None and deep.needs == (("max_depth", 4),)
     both = construct_scalar_witness(
@@ -283,7 +322,7 @@ def test_construction_checks_its_bounds_before_firing(monkeypatch):
     rs = monoid_presentation(incidence(graph_from_rows(LONG_WITNESS_ROWS)))
     rows = rs.relation_rows()
     assert len(echelon_basis(rows)) < rs.num_rules
-    k, lam = torsion_order(rows, (1,) * rs.num_generators)
+    k, lam, _ = torsion_order(rows, (1,) * rs.num_generators)
     assert k == 1
     built = construct_scalar_witness(rs, k, lam)
     assert built.witness is None
@@ -300,6 +339,6 @@ def test_construction_checks_the_fired_end_against_its_total(monkeypatch):
 
     monkeypatch.setattr(cohnibn.rewriting, "fire_greedily", one_more_unit)
     rs = monoid_presentation(incidence(rose_two()))
-    k, lam = torsion_order([[-1]], [1])
+    k, lam, _ = torsion_order([[-1]], [1])
     with pytest.raises(InternalInvariantViolation):
         construct_scalar_witness(rs, k, lam)
