@@ -32,11 +32,9 @@ from .errors import (
 from .graphs import (
     Edge,
     Graph,
-    IncidenceMatrix,
     VertexClassification,
     classify,
     graph_from,
-    incidence,
     validate,
 )
 from .construct import (
@@ -65,7 +63,7 @@ from .rewriting import (
     decide_equivalent,
     find_scalar_witness,
     forward_closure,
-    monoid_presentation,
+    incidence,
     scale,
     settle_without_search,
 )
@@ -91,7 +89,6 @@ from .decision import (
     Verdict,
     audit,
     decide_ibn,
-    decide_imn,
     resolve_target,
 )
 from .graphio import (
@@ -120,8 +117,8 @@ __all__ = [
     "LengthMismatchError", "ZeroElementError", "InternalInvariantViolation",
     "GraphParseError", "UnknownExampleError",
     # graphs
-    "Edge", "Graph", "VertexClassification", "IncidenceMatrix",
-    "graph_from", "validate", "classify", "incidence",
+    "Edge", "Graph", "VertexClassification",
+    "graph_from", "validate", "classify",
     # constructions
     "PRIME", "CompanionGraph", "cohn_companion", "relative_companion",
     "family",
@@ -129,7 +126,7 @@ __all__ = [
     "EQUIVALENT", "NOT_EQUIVALENT", "UNKNOWN",
     "RewriteSystem", "SearchBounds", "ReductionTrace", "Closure",
     "EquivalenceOutcome", "ScalarWitness", "Construction", "as_vector",
-    "scale", "monoid_presentation", "cohn_presentation", "forward_closure",
+    "scale", "incidence", "cohn_presentation", "forward_closure",
     "decide_equivalent",
     "find_scalar_witness", "construct_scalar_witness",
     "LatticeSeparation", "settle_without_search", "check_lattice_separation",
@@ -141,8 +138,7 @@ __all__ = [
     # decision
     "KIND_COHN", "KIND_RELATIVE", "KIND_LEAVITT",
     "IBN_CERTIFIED", "IBN_REFUTED", "IBN_UNKNOWN", "IMN_HOLDS", "IMN_UNKNOWN",
-    "AlgebraSpec", "Verdict", "resolve_target", "decide_ibn", "decide_imn",
-    "audit",
+    "AlgebraSpec", "Verdict", "resolve_target", "decide_ibn", "audit",
     # io
     "parse_graph", "parse_graph_text", "parse_graph_json",
     "emit_graph_text", "emit_graph_json", "graph_as_dict",

@@ -27,12 +27,11 @@ from .decision import (
     KIND_RELATIVE,
     audit,
     decide_ibn,
-    decide_imn,
 )
 from .errors import CohnIbnError, InternalInvariantViolation
 from .fixtures import describe_examples, load_example
 from .graphio import emit_graph_json, emit_graph_text, graph_as_dict, parse_graph
-from .graphs import Graph, incidence, validate
+from .graphs import Graph, validate
 from .rewriting import (
     EQUIVALENT,
     NOT_EQUIVALENT,
@@ -42,7 +41,7 @@ from .rewriting import (
     check_lattice_separation,
     cohn_presentation,
     decide_equivalent,
-    monoid_presentation,
+    incidence,
     settle_without_search,
 )
 
@@ -207,7 +206,9 @@ def _cmd_companion(ns) -> int:
     graph, x_default, source = _resolve_input(ns)
     x = regular_subset(graph, _parse_x(ns.x, default=x_default))
     companion = relative_companion(graph, x)
-    matrix = incidence(companion.graph)
+    rs = incidence(companion.graph)
+    n = rs.num_generators  # a zero row per sink: the generators past the rules
+    rows = rs.rule_add + ((0,) * n,) * (n - rs.num_rules)
     digest = _digest(graph, x)
 
     report = _report(
@@ -218,9 +219,9 @@ def _cmd_companion(ns) -> int:
         result={
             "graph": graph_as_dict(companion.graph),
             "incidence": {
-                "order": list(matrix.order),
-                "num_regular": matrix.num_regular,
-                "rows": matrix.entries,
+                "order": list(rs.generators),
+                "num_regular": rs.num_rules,
+                "rows": rows,
             },
             "origin": {
                 "vertices": dict(companion.vertex_origin),
@@ -234,8 +235,8 @@ def _cmd_companion(ns) -> int:
     if x:
         header.append("x: " + " ".join(x))
     body = emit_graph_text(companion.graph, comments=tuple(header))
-    footer = ["# incidence order: " + " ".join(matrix.order)]
-    for name, row in zip(matrix.order, matrix.entries):
+    footer = ["# incidence order: " + " ".join(rs.generators)]
+    for name, row in zip(rs.generators, rows):
         footer.append(f"# incidence row {name}: " + " ".join(str(v) for v in row))
     _emit_report(report, ns, body + "\n".join(footer) + "\n")
     return EXIT_OK
@@ -249,7 +250,7 @@ def _cmd_ibn_check(ns) -> int:
     x = regular_subset(graph, x)
     spec = AlgebraSpec(kind=ns.algebra, graph=graph, x=x)
     bounds = _bounds(ns)
-    verdict = decide_imn(decide_ibn(spec, bounds))
+    verdict = decide_ibn(spec, bounds)
     if not audit(verdict, spec):
         raise InternalInvariantViolation("verdict failed its own audit")
 
@@ -332,7 +333,7 @@ def _cmd_monoid_equiv(ns) -> int:
         rs = cohn_presentation(graph)
         invariant = None
     else:
-        rs = monoid_presentation(incidence(graph))
+        rs = incidence(graph)
         invariant = solve_exact(rs)
 
     vec_a = _parse_vector(ns.vec_a)

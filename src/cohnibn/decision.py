@@ -15,12 +15,12 @@ evidence from scratch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .certificates import WeightCertificate, solve_exact, verify_certificate
 from .construct import cohn_companion, relative_companion
 from .errors import CohnIbnError, InternalInvariantViolation
-from .graphs import Graph, incidence, validate
+from .graphs import Graph, validate
 from .lattice import torsion_order
 from .rewriting import (
     ReductionTrace,
@@ -29,7 +29,7 @@ from .rewriting import (
     SearchBounds,
     construct_scalar_witness,
     find_scalar_witness,
-    monoid_presentation,
+    incidence,
     scale,
 )
 
@@ -102,11 +102,22 @@ def decide_ibn(
 
     The certificate route is complete for the Cohn kind, so failure there
     raises InternalInvariantViolation rather than producing a verdict.
-    The returned verdict leaves imn unresolved; see decide_imn.
+
+    The imn field reads holds exactly on certified verdicts.  IMN says
+    that M_m(R) ~ M_m'(R) as rings forces m = m'.  Through the Morita
+    equivalences M_k(R) ~ R, such an isomorphism is an automorphism of
+    K0(R) taking m[1] to m'[1].  K0 of the target is Z^vertices modulo the
+    relation rows, and a certificate exists exactly when [1] has infinite
+    order there.  An automorphism keeps the largest d dividing an
+    element's image in the torsion-free quotient, which for m[1] is m
+    times that of [1]; so m = m' and IMN holds.  For the Cohn kind, where
+    every target is certified, this is the source paper's theorem (arXiv
+    1303.2122).  A refutation R^m ~ R^m' refutes IMN too, as its notes
+    derive; the field then reads unknown, as for an unknown verdict.
     """
     bounds = bounds or SearchBounds()
     target = resolve_target(spec)
-    rs = monoid_presentation(incidence(target))
+    rs = incidence(target)
     notes: list[str] = [
         f"target graph: {len(target.vertices)} vertices, {len(target.edges)} edges",
         f"presentation: {rs.num_generators} generators, {rs.num_rules} rules",
@@ -116,7 +127,7 @@ def decide_ibn(
         return Verdict(
             target=target,
             ibn=ibn,
-            imn=IMN_UNKNOWN,
+            imn=IMN_HOLDS if ibn == IBN_CERTIFIED else IMN_UNKNOWN,
             certificate=certificate,
             witness=witness,
             bounds=bounds,
@@ -201,24 +212,6 @@ def decide_ibn(
     return verdict(IBN_REFUTED, route, witness=witness)
 
 
-def decide_imn(verdict: Verdict) -> Verdict:
-    """Fill the IMN field.
-
-    IMN says that M_m(R) ~ M_m'(R) as rings forces m = m'.  Through the
-    Morita equivalences M_k(R) ~ R, such an isomorphism is an automorphism
-    of K0(R) taking m[1] to m'[1].  K0 of the target is Z^vertices modulo
-    the relation rows, and a certificate exists exactly when [1] has
-    infinite order there.  An automorphism keeps the largest d dividing
-    an element's image in the torsion-free quotient, which for m[1] is m
-    times that of [1]; so m = m' and IMN holds.  For the Cohn kind, where
-    every target is certified, this is the source paper's theorem (arXiv
-    1303.2122).  A refutation R^m ~ R^m' refutes IMN too, as its notes
-    derive; the field then reads unknown, as for an unknown verdict.
-    """
-    imn = IMN_HOLDS if verdict.ibn == IBN_CERTIFIED else IMN_UNKNOWN
-    return replace(verdict, imn=imn)
-
-
 def _replay_ok(trace: ReductionTrace, rs: RewriteSystem, expected_end) -> bool:
     try:
         return trace.replay(rs) == tuple(expected_end)
@@ -234,7 +227,7 @@ def audit(verdict: Verdict, spec: AlgebraSpec) -> bool:
         return False
     if target != verdict.target:
         return False
-    rs = monoid_presentation(incidence(target))
+    rs = incidence(target)
     if verdict.imn == IMN_HOLDS and verdict.ibn != IBN_CERTIFIED:
         return False
 

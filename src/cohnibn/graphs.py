@@ -1,4 +1,4 @@
-"""Finite directed multigraphs and their incidence matrices.
+"""Finite directed multigraphs: names, validation and vertex order.
 
 Vertices carry opaque string names.  Parallel edges and loops are allowed
 and counted with multiplicity.  After :func:`validate`, the vertex order is
@@ -43,24 +43,6 @@ class VertexClassification:
 
     regular: tuple[str, ...]
     sinks: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class IncidenceMatrix:
-    """Edge-count matrix in canonical (regular-first) vertex order.
-
-    ``entries[i][j]`` is the number of edges from ``order[i]`` to
-    ``order[j]``; the first ``num_regular`` rows are the regular vertices,
-    so every row past that is zero.
-    """
-
-    order: tuple[str, ...]
-    entries: tuple[tuple[int, ...], ...]
-    num_regular: int
-
-    @property
-    def size(self) -> int:
-        return len(self.order)
 
 
 def graph_from(
@@ -113,16 +95,3 @@ def classify(graph: Graph) -> VertexClassification:
         regular=tuple(v for v in graph.vertices if has_out[v]),
         sinks=tuple(v for v in graph.vertices if not has_out[v]),
     )
-
-
-def incidence(graph: Graph) -> IncidenceMatrix:
-    """Edge-count matrix of a validated graph, multiplicities included."""
-    order = graph.vertices
-    index = {v: i for i, v in enumerate(order)}
-    regular = classify(graph).regular
-    rows = {v: [0] * len(order) for v in regular}
-    for e in graph.edges:
-        rows[e.src][index[e.dst]] += 1
-    zero = (0,) * len(order)  # one row object shared by every sink
-    entries = tuple(tuple(rows[v]) if v in rows else zero for v in order)
-    return IncidenceMatrix(order=order, entries=entries, num_regular=len(regular))

@@ -3,6 +3,9 @@
 A presentation lives on an ordered generator list; elements are vectors of
 nonnegative integer coefficients.  Each rewritable generator i carries one
 rule: remove a single unit at position i, add a fixed replacement vector.
+A graph's monoid is presented by ``incidence``: one generator per vertex,
+and at each regular vertex the rule that rewrites it into its edge-count
+row.  ``cohn_presentation`` adds one marker generator per rule.
 Two nonzero elements are equal in the quotient monoid exactly when some
 forward rewrites lead them to a common vector, which is what the bounded
 breadth-first search below looks for.  A search can therefore prove
@@ -24,13 +27,14 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .certificates import WeightCertificate, gamma
+from .construct import PRIME
 from .errors import (
     InternalInvariantViolation,
     LengthMismatchError,
     OutOfRangeError,
     ZeroElementError,
 )
-from .graphs import Graph, IncidenceMatrix, incidence
+from .graphs import Graph, classify
 from .lattice import separating_functional
 
 Vector = tuple[int, ...]
@@ -215,32 +219,51 @@ def scale(elem: Sequence[int], m: int) -> Vector:
     return tuple(int(c) * m for c in elem)
 
 
-def monoid_presentation(matrix: IncidenceMatrix) -> RewriteSystem:
-    """Graph-monoid presentation: one rule per regular vertex.
+def incidence(graph: Graph) -> RewriteSystem:
+    """Graph-monoid presentation of a validated graph.
 
-    Generators follow the matrix's vertex order; the rule at a regular
-    index rewrites a unit there into that vertex's incidence row.
+    The generators are the graph's vertices.  The rule at a regular vertex
+    rewrites a unit there into its edge-count row: entry j counts the
+    edges to vertex j, multiplicities included.  Raises ValueError when a
+    sink precedes a regular vertex, an order validate() never leaves, so
+    rule k always rewrites generator k and every generator past the last
+    rule is a sink.
     """
-    return RewriteSystem(
-        generators=matrix.order, rule_add=matrix.entries[: matrix.num_regular]
-    )
+    order = graph.vertices
+    regular = classify(graph).regular
+    if order[: len(regular)] != regular:
+        raise ValueError("a sink precedes a regular vertex; validate the graph")
+    index = {v: i for i, v in enumerate(order)}
+    rows = [[0] * len(order) for _ in regular]
+    for e in graph.edges:
+        rows[index[e.src]][index[e.dst]] += 1
+    return RewriteSystem(generators=order, rule_add=tuple(map(tuple, rows)))
 
 
 def cohn_presentation(graph: Graph) -> RewriteSystem:
     """Marker presentation on vertices plus one q-generator per regular.
 
     The rule at a regular vertex v rewrites a unit at v into the ranges of
-    v's outgoing edges plus one unit at q_v; the q-generators are never
-    rewritten, so they count how often each rule fired.
+    v's outgoing edges plus one unit at v's marker; the markers are never
+    rewritten, so they count how often each rule fired.  v's marker is
+    named q_v, with primes appended while a vertex or an earlier marker
+    holds that name.
     """
-    matrix = incidence(graph)
-    t = matrix.num_regular
-    generators = matrix.order + tuple(f"q_{v}" for v in matrix.order[:t])
+    rs = incidence(graph)
+    t = rs.num_rules
+    taken = set(rs.generators)
+    markers = []
+    for v in rs.generators[:t]:
+        name = f"q_{v}"
+        while name in taken:
+            name += PRIME
+        taken.add(name)
+        markers.append(name)
     add = tuple(
         row + (0,) * k + (1,) + (0,) * (t - 1 - k)
-        for k, row in enumerate(matrix.entries[:t])
+        for k, row in enumerate(rs.rule_add)
     )
-    return RewriteSystem(generators=generators, rule_add=add)
+    return RewriteSystem(generators=rs.generators + tuple(markers), rule_add=add)
 
 
 class _Level(list):
@@ -516,6 +539,17 @@ def decide_equivalent(
     Equal vectors are equivalent at once.  The weight and lattice checks of
     ``settle_without_search`` are not run here; callers that want them call
     that first.
+
+    A pair with disjoint complete closures never gets past that lattice
+    check.  Every generator of H, the set reachable from supp(a) | supp(b),
+    holds a unit in some state of a closure, and a rule on a cycle that
+    adds more than the unit it removes makes the closure through it grow
+    without end.  So complete closures leave only exit-free cycles of
+    out-degree-1 vertices reachable (and no cycle at all under the Cohn
+    presentation, whose every firing adds a marker).  The monoid on H is
+    then free on its sinks and cycles, and it embeds in K0(H), which is
+    free abelian on them.  Hence a ~ b exactly when a - b is in the span of
+    H's relation rows, and disjoint closures put it outside.
     """
     bounds = bounds or SearchBounds()
     va, vb = _nonzero_pair(a, b, rs)

@@ -108,10 +108,10 @@ def companion_rank_check(graph: Graph) -> bool:
     leaves unit columns in the duplicated block, so the last t+1 columns
     are independent.  Ranks are the lengths of echelon bases.
     """
-    matrix = incidence(cohn_companion(graph).graph)
-    t = matrix.num_regular
-    n = matrix.size - t
-    rows = [[1] * (n + t), *map(list, matrix.entries[:t])]
+    rs = incidence(cohn_companion(graph).graph)
+    t = rs.num_rules
+    n = rs.num_generators - t
+    rows = [[1] * (n + t), *map(list, rs.rule_add)]
     for i in range(t):
         rows[i + 1][i] -= 1
     if len(echelon_basis(rows)) != t + 1:

@@ -25,14 +25,12 @@ from cohnibn import (
     cohn_presentation,
     decide_equivalent,
     decide_ibn,
-    decide_imn,
     f_line_graph,
     f_rose_two,
     family,
     gamma,
     incidence,
     line_graph,
-    monoid_presentation,
     rose_two,
     scale,
     settle_without_search,
@@ -55,7 +53,7 @@ ACCEPT_BOUNDS = SearchBounds(max_states=100_000, max_total_coefficient=64)
 def _verdicts():
     out = []
     for name, spec in corpus_specs():
-        verdict = decide_imn(decide_ibn(spec, ACCEPT_BOUNDS))
+        verdict = decide_ibn(spec, ACCEPT_BOUNDS)
         assert audit(verdict, spec), name
         out.append((name, spec, verdict))
     return out
@@ -65,7 +63,9 @@ def test_criterion_01_companion_of_rose_two():
     comp = cohn_companion(rose_two()).graph
     assert comp.num_vertices == 2
     assert comp.num_edges == 4
-    assert incidence(comp).entries == ((2, 2), (0, 0))
+    rs = incidence(comp)
+    assert rs.rule_add == ((2, 2),)
+    assert rs.num_rules == 1  # the zero row: v' is a sink
     print("PASS criterion 1: companion of R2 has 2 vertices, 4 edges, "
           "incidence [[2,2],[0,0]]")
 
@@ -76,7 +76,7 @@ def test_criterion_02_cohn_rose_two_certificate():
     assert verdict.ibn == IBN_CERTIFIED
     cert = verdict.certificate
     assert cert.weights == (Fraction(2), Fraction(-1))
-    rs = monoid_presentation(incidence(verdict.target))
+    rs = incidence(verdict.target)
     assert verify_certificate(cert, rs)
     assert sum(cert.weights) == 1
     rho = (1,) * len(cert.weights)
@@ -110,11 +110,11 @@ def test_criterion_03_refutations_with_replayable_traces():
 
 
 def test_criterion_04_normal_forms():
-    rs_line = monoid_presentation(incidence(line_graph()))
+    rs_line = incidence(line_graph())
     assert closure_normal_form((1, 1, 1), rs_line) == (0, 0, 3)
 
     f_line = f_line_graph()
-    rs_f = monoid_presentation(incidence(f_line))
+    rs_f = incidence(f_line)
     assert f_line.vertices == ("u", "v", "w", "u'", "v'")
     nf = closure_normal_form((1, 1, 1, 1, 1), rs_f)
     assert nf == (0, 0, 3, 1, 2)
@@ -124,8 +124,7 @@ def test_criterion_04_normal_forms():
 
 
 def test_criterion_05_parity_reductions_in_companion_of_rose_two():
-    matrix = incidence(f_rose_two())
-    rs = monoid_presentation(matrix)
+    rs = incidence(f_rose_two())
     cert = solve_exact(rs)
     for m in range(2, 11, 2):
         out = decide_equivalent((m, m), (m // 2, 0), rs, ACCEPT_BOUNDS)
@@ -147,7 +146,7 @@ def test_criterion_05_parity_reductions_in_companion_of_rose_two():
 
 
 def test_criterion_06_torsion_without_ibn_failure():
-    rs = monoid_presentation(incidence(f_rose_two()))
+    rs = incidence(f_rose_two())
     out = decide_equivalent((1, 2), (2, 4), rs, ACCEPT_BOUNDS)
     assert out.status == EQUIVALENT
     assert len(out.trace_a.steps) + len(out.trace_b.steps) == 1
@@ -180,10 +179,9 @@ def test_criterion_08_gamma_invariance_suite():
     seeds = [line_graph(), rose_two()]
     while triples < 1000:
         g = seeds.pop() if seeds else make_random_graph(rng)
-        matrix = incidence(cohn_companion(g).graph)
-        cert = solve_exact(monoid_presentation(matrix))
+        rs = incidence(cohn_companion(g).graph)
+        cert = solve_exact(rs)
         assert cert is not None
-        rs = monoid_presentation(matrix)
         for _ in range(20):
             elem = tuple(rng.randint(0, 5) for _ in range(rs.num_generators))
             value = gamma(cert, elem)
@@ -198,7 +196,7 @@ def test_criterion_09_mutual_exclusion_and_gamma_vs_search():
     for name, spec, verdict in _verdicts():
         has_cert = verdict.certificate is not None and verify_certificate(
             verdict.certificate,
-            monoid_presentation(incidence(verdict.target)),
+            incidence(verdict.target),
         )
         has_witness = verdict.witness is not None
         assert not (has_cert and has_witness), name
@@ -207,11 +205,10 @@ def test_criterion_09_mutual_exclusion_and_gamma_vs_search():
     # common descendant.
     checked = 0
     for name, graph, _ in corpus_graphs():
-        matrix = incidence(graph)
-        cert = solve_exact(monoid_presentation(matrix))
+        rs = incidence(graph)
+        cert = solve_exact(rs)
         if cert is None:
             continue
-        rs = monoid_presentation(matrix)
         rho = (1,) * rs.num_generators
         pairs = [
             (scale(rho, m), scale(rho, m_prime))

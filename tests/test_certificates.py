@@ -14,7 +14,6 @@ from cohnibn import (
     gamma,
     graph_from,
     incidence,
-    monoid_presentation,
     parse_weights,
     relative_companion,
     rose_two,
@@ -29,7 +28,7 @@ from conftest import companion_rank_check, make_random_graph
 F = Fraction
 
 
-def reference_weights(matrix):
+def reference_weights(rs):
     """Reference solve of the weight system by Fraction elimination.
 
     Row 0 asks the weights to sum to 1 and row 1 + i asks (A_i - e_i) . w
@@ -37,10 +36,10 @@ def reference_weights(matrix):
     leftmost nonzero column and topmost row; free variables are set to
     zero.  Returns the weights, or None when the system is inconsistent.
     """
-    n = matrix.size
+    n = rs.num_generators
     rows = [[F(1)] * n + [F(1)]]
-    for i in range(matrix.num_regular):
-        row = [F(int(a)) for a in matrix.entries[i]] + [F(0)]
+    for i, add in enumerate(rs.rule_add):
+        row = [F(int(a)) for a in add] + [F(0)]
         row[i] -= 1
         rows.append(row)
     pivots = []
@@ -64,8 +63,8 @@ def reference_weights(matrix):
     return tuple(weights)
 
 
-def _solved_weights(matrix):
-    cert = solve_exact(monoid_presentation(matrix))
+def _solved_weights(rs):
+    cert = solve_exact(rs)
     return None if cert is None else cert.weights
 
 
@@ -86,30 +85,30 @@ def test_solve_exact_matches_the_reference_elimination():
             cohn_companion(g).graph,
             relative_companion(g, x).graph,
         ):
-            matrix = incidence(target)
-            expected = reference_weights(matrix)
-            assert _solved_weights(matrix) == expected, (g, x)
+            rs = incidence(target)
+            expected = reference_weights(rs)
+            assert _solved_weights(rs) == expected, (g, x)
             solved += expected is not None
     assert solved >= 400
 
 
 def test_solve_exact_companion_rose_two():
-    cert = solve_exact(monoid_presentation(incidence(f_rose_two())))
+    cert = solve_exact(incidence(f_rose_two()))
     assert cert.weights == (F(2), F(-1))
     assert cert.generators == ("v", "v'")
 
 
 def test_solve_exact_inconsistent_returns_none():
-    assert solve_exact(monoid_presentation(incidence(rose_two()))) is None
+    assert solve_exact(incidence(rose_two())) is None
 
 
 def test_solve_exact_sets_free_variables_to_zero():
-    cert = solve_exact(monoid_presentation(incidence(f_line_graph())))
+    cert = solve_exact(incidence(f_line_graph()))
     third = F(1, 3)
     assert cert.weights == (third, third, third, F(0), F(0))
 
     two_sinks = validate(graph_from(["a", "b"]))
-    cert2 = solve_exact(monoid_presentation(incidence(two_sinks)))
+    cert2 = solve_exact(incidence(two_sinks))
     assert cert2.weights == (F(1), F(0))
 
 
@@ -124,14 +123,13 @@ def test_gamma_is_linear_and_checked():
 
 
 def test_verify_certificate_accepts_true_certificates():
-    matrix = incidence(f_rose_two())
-    cert = solve_exact(monoid_presentation(matrix))
-    assert verify_certificate(cert, monoid_presentation(matrix))
+    rs = incidence(f_rose_two())
+    cert = solve_exact(rs)
+    assert verify_certificate(cert, rs)
 
 
 def test_verify_certificate_rejects_tampering():
-    matrix = incidence(f_rose_two())
-    rs = monoid_presentation(matrix)
+    rs = incidence(f_rose_two())
     good = solve_exact(rs)
 
     wrong_weight = WeightCertificate(weights=(F(2), F(1)), generators=good.generators)
@@ -156,7 +154,7 @@ def test_companion_system_solvable_on_random_graphs():
     rng = random.Random(31)
     for _ in range(40):
         g = make_random_graph(rng)
-        comp_rs = monoid_presentation(incidence(cohn_companion(g).graph))
+        comp_rs = incidence(cohn_companion(g).graph)
         cert = solve_exact(comp_rs)
         assert cert is not None
         assert verify_certificate(cert, comp_rs)
@@ -165,9 +163,9 @@ def test_companion_system_solvable_on_random_graphs():
 
 def test_edgeless_graph_certificate_and_rank():
     graph = validate(graph_from(["a", "b"]))
-    matrix = incidence(graph)
-    cert = solve_exact(monoid_presentation(matrix))
-    assert verify_certificate(cert, monoid_presentation(matrix))
+    rs = incidence(graph)
+    cert = solve_exact(rs)
+    assert verify_certificate(cert, rs)
     assert companion_rank_check(graph)
 
 
@@ -199,7 +197,7 @@ def test_parse_weights_checks_length():
 
 
 def test_certificate_separates_multiples_of_rho():
-    cert = solve_exact(monoid_presentation(incidence(f_rose_two())))
+    cert = solve_exact(incidence(f_rose_two()))
     rho = (1, 1)
     values = {gamma(cert, tuple(m * c for c in rho)) for m in range(1, 11)}
     assert values == {F(m) for m in range(1, 11)}

@@ -25,9 +25,9 @@ def test_companion_of_rose_two():
     comp = cohn_companion(rose_two())
     assert comp.graph.vertices == ("v", "v'")
     assert comp.graph.num_edges == 4
-    m = incidence(comp.graph)
-    assert m.entries == ((2, 2), (0, 0))
-    assert m.num_regular == 1
+    rs = incidence(comp.graph)
+    assert rs.rule_add == ((2, 2),)
+    assert rs.num_rules == 1
     assert comp.vertex_origin == {"v'": "v"}
     assert comp.edge_origin == {"e'": "e", "f'": "f"}
     assert comp.new_vertices == ("v'",)
@@ -36,14 +36,12 @@ def test_companion_of_rose_two():
 def test_companion_of_line_graph():
     comp = cohn_companion(line_graph())
     assert comp.graph.vertices == ("u", "v", "w", "u'", "v'")
-    m = incidence(comp.graph)
-    assert m.entries == (
+    rs = incidence(comp.graph)
+    assert rs.rule_add == (
         (0, 1, 0, 0, 1),
         (0, 0, 1, 0, 0),
-        (0, 0, 0, 0, 0),
-        (0, 0, 0, 0, 0),
-        (0, 0, 0, 0, 0),
     )
+    assert rs.num_rules == 2  # w, u' and v' are sinks
     # u has no incoming edges, so u' is an isolated sink.
     incoming = [e for e in comp.graph.edges if e.dst == "u'"]
     assert incoming == []
@@ -93,12 +91,12 @@ def test_relative_companion_partial():
     assert x == ("v2",)
     comp = relative_companion(g, x)
     assert comp.graph.vertices == ("v1", "v2", "v1'")
-    m = incidence(comp.graph)
-    assert m.entries == (
+    rs = incidence(comp.graph)
+    assert rs.rule_add == (
         (1, 0, 1),
         (1, 2, 1),
-        (0, 0, 0),
     )
+    assert rs.num_rules == 2  # v1' is a sink
 
 
 def test_regular_subset_is_vertex_ordered_without_repeats():
@@ -136,19 +134,20 @@ def test_family_structure():
     g, x = family(3, 2)
     assert g.vertices == ("v1", "v2", "v3")
     assert x == ("v2", "v3")
-    m = incidence(g)
-    assert m.entries == (
+    rs = incidence(g)
+    assert rs.rule_add == (
         (1, 0, 0),
         (0, 1, 0),
         (1, 1, 2),
     )
+    assert rs.num_rules == rs.num_generators
 
 
 def test_family_smallest_instance():
     g, x = family(1, 1)
     assert g.vertices == ("v1",)
     assert x == ("v1",)
-    assert incidence(g).entries == ((2,),)
+    assert incidence(g).rule_add == ((2,),)
 
 
 def test_family_rejects_out_of_range_parameters():

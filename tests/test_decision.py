@@ -31,13 +31,11 @@ from cohnibn import (
     construct_scalar_witness,
     decide_equivalent,
     decide_ibn,
-    decide_imn,
     family,
     find_scalar_witness,
     graph_from,
     incidence,
     line_graph,
-    monoid_presentation,
     relative_companion,
     resolve_target,
     rose_two,
@@ -75,7 +73,7 @@ def test_resolve_target_by_kind():
 
 def test_cohn_rose_two_is_certified():
     spec = AlgebraSpec(kind=KIND_COHN, graph=rose_two())
-    verdict = decide_imn(decide_ibn(spec))
+    verdict = decide_ibn(spec)
     assert verdict.ibn == IBN_CERTIFIED
     assert verdict.imn == IMN_HOLDS
     assert verdict.route == "certificate"
@@ -86,7 +84,7 @@ def test_cohn_rose_two_is_certified():
 
 def test_leavitt_rose_two_is_refuted():
     spec = AlgebraSpec(kind=KIND_LEAVITT, graph=rose_two())
-    verdict = decide_imn(decide_ibn(spec))
+    verdict = decide_ibn(spec)
     assert verdict.ibn == IBN_REFUTED
     assert verdict.imn == IMN_UNKNOWN
     assert verdict.route == "witness-construction"
@@ -101,7 +99,7 @@ def test_leavitt_rose_two_is_refuted():
 def test_relative_family_is_refuted():
     fam, x = family(2, 1)
     spec = AlgebraSpec(kind=KIND_RELATIVE, graph=fam, x=x)
-    verdict = decide_imn(decide_ibn(spec))
+    verdict = decide_ibn(spec)
     assert verdict.ibn == IBN_REFUTED
     assert (verdict.witness.m, verdict.witness.m_prime) == (1, 2)
     assert verdict.witness.descendant == (2, 2, 2)
@@ -115,7 +113,7 @@ def test_relative_family_edge_instances_are_refuted():
     for (n, m), descendant in expected.items():
         fam, x = family(n, m)
         spec = AlgebraSpec(kind=KIND_RELATIVE, graph=fam, x=x)
-        verdict = decide_imn(decide_ibn(spec))
+        verdict = decide_ibn(spec)
         assert verdict.ibn == IBN_REFUTED, (n, m)
         assert (verdict.witness.m, verdict.witness.m_prime) == (1, 2)
         assert verdict.witness.descendant == descendant
@@ -124,7 +122,7 @@ def test_relative_family_edge_instances_are_refuted():
 
 def test_leavitt_line_graph_is_certified():
     spec = AlgebraSpec(kind=KIND_LEAVITT, graph=line_graph())
-    verdict = decide_imn(decide_ibn(spec))
+    verdict = decide_ibn(spec)
     assert verdict.ibn == IBN_CERTIFIED
     assert verdict.imn == IMN_HOLDS
     third = Fraction(1, 3)
@@ -135,7 +133,7 @@ def test_leavitt_line_graph_is_certified():
 def test_unknown_when_bounds_too_tight():
     spec = AlgebraSpec(kind=KIND_LEAVITT, graph=rose_two())
     tight = SearchBounds(max_total_coefficient=1)
-    verdict = decide_imn(decide_ibn(spec, tight))
+    verdict = decide_ibn(spec, tight)
     assert verdict.ibn == IBN_UNKNOWN
     assert verdict.imn == IMN_UNKNOWN
     assert verdict.route == "exhausted"
@@ -153,7 +151,7 @@ def test_verdict_reports_bounds_and_notes():
 
 def test_audit_rejects_tampered_certificate():
     spec = AlgebraSpec(kind=KIND_COHN, graph=rose_two())
-    verdict = decide_imn(decide_ibn(spec))
+    verdict = decide_ibn(spec)
     bad_cert = WeightCertificate(
         weights=(Fraction(3), Fraction(-2)), generators=verdict.target.vertices
     )
@@ -163,7 +161,7 @@ def test_audit_rejects_tampered_certificate():
 
 def test_audit_rejects_tampered_witness():
     spec = AlgebraSpec(kind=KIND_LEAVITT, graph=rose_two())
-    verdict = decide_imn(decide_ibn(spec))
+    verdict = decide_ibn(spec)
     w = verdict.witness
     bad_trace = ReductionTrace(start=w.trace_a.start, steps=((0, (7,)),))
     bad = ScalarWitness(
@@ -179,21 +177,21 @@ def test_audit_rejects_tampered_witness():
 
 def test_audit_rejects_inconsistent_imn():
     spec = AlgebraSpec(kind=KIND_LEAVITT, graph=rose_two())
-    verdict = decide_imn(decide_ibn(spec))
+    verdict = decide_ibn(spec)
     lying = dataclasses.replace(verdict, imn=IMN_HOLDS)
     assert not audit(lying, spec)
 
 
 def test_audit_rejects_wrong_spec():
     spec = AlgebraSpec(kind=KIND_COHN, graph=rose_two())
-    verdict = decide_imn(decide_ibn(spec))
+    verdict = decide_ibn(spec)
     other = AlgebraSpec(kind=KIND_COHN, graph=line_graph())
     assert not audit(verdict, other)
 
 
 def test_audit_rejects_witness_on_wrong_base():
     spec = AlgebraSpec(kind=KIND_LEAVITT, graph=rose_two())
-    verdict = decide_imn(decide_ibn(spec))
+    verdict = decide_ibn(spec)
     w = verdict.witness
     shifted = ScalarWitness(
         base=(2,),
@@ -222,7 +220,7 @@ _DEEP = graph_from(
 
 def test_witness_is_constructed_when_the_search_is_capped():
     spec = AlgebraSpec(kind=KIND_LEAVITT, graph=_DEEP)
-    verdict = decide_imn(decide_ibn(spec, SearchBounds(max_states=1)))
+    verdict = decide_ibn(spec, SearchBounds(max_states=1))
     assert verdict.ibn == IBN_REFUTED
     assert verdict.imn == IMN_UNKNOWN
     assert verdict.route == "witness-construction"
@@ -236,7 +234,7 @@ def test_witness_is_constructed_when_the_search_is_capped():
 def test_exhausted_names_the_bound_the_construction_broke():
     spec = AlgebraSpec(kind=KIND_LEAVITT, graph=_DEEP)
     tight = SearchBounds(max_states=1, max_depth=3)
-    verdict = decide_imn(decide_ibn(spec, tight))
+    verdict = decide_ibn(spec, tight)
     assert verdict.route == "exhausted"
     assert verdict.ibn == IBN_UNKNOWN
     assert "constructed witness breaks --max-depth=3: raise --max-depth to 4" in verdict.notes
@@ -273,7 +271,7 @@ def _no_search(*args, **kwargs):
 def test_full_rank_exhausted_is_a_proof_and_runs_no_search(monkeypatch):
     monkeypatch.setattr(cohnibn.decision, "find_scalar_witness", _no_search)
     spec = AlgebraSpec(kind=KIND_LEAVITT, graph=_DEEP)
-    verdict = decide_imn(decide_ibn(spec, SearchBounds(max_depth=3)))
+    verdict = decide_ibn(spec, SearchBounds(max_depth=3))
     assert verdict.ibn == IBN_UNKNOWN and verdict.route == "exhausted"
     assert "constructed witness breaks --max-depth=3: raise --max-depth to 4" in verdict.notes
     assert any("no witness of any pair fits these bounds" in n for n in verdict.notes)
@@ -290,13 +288,13 @@ def test_rank_deficient_rows_fall_back_to_the_search(monkeypatch):
 
     monkeypatch.setattr(cohnibn.decision, "find_scalar_witness", recording)
     spec = AlgebraSpec(kind=KIND_LEAVITT, graph=_DEFICIENT)
-    verdict = decide_imn(decide_ibn(spec))
+    verdict = decide_ibn(spec)
     assert verdict.route == "witness-construction" and calls == []
     assert verdict.witness.descendant == (2, 2, 2)
 
     # The construction takes two firings; the search joins rho and 2*rho
     # in one firing on each side.
-    verdict = decide_imn(decide_ibn(spec, SearchBounds(max_depth=1)))
+    verdict = decide_ibn(spec, SearchBounds(max_depth=1))
     assert calls == [1]
     assert verdict.ibn == IBN_REFUTED and verdict.route == "witness-search"
     w = verdict.witness
@@ -304,7 +302,7 @@ def test_rank_deficient_rows_fall_back_to_the_search(monkeypatch):
     assert not any("no witness of any pair" in n for n in verdict.notes)
     assert audit(verdict, spec)
 
-    verdict = decide_imn(decide_ibn(spec, SearchBounds(max_total_coefficient=5)))
+    verdict = decide_ibn(spec, SearchBounds(max_total_coefficient=5))
     assert calls == [1, 1]
     assert verdict.ibn == IBN_UNKNOWN and verdict.route == "exhausted"
     assert "constructed witness breaks --max-coeff=5: raise --max-coeff to 6" in verdict.notes
@@ -324,7 +322,7 @@ def test_construction_agrees_with_the_search_it_replaces():
     targets = deficient = 0
     while targets < 300:
         graph = make_random_graph(rng)
-        rs = monoid_presentation(incidence(graph))
+        rs = incidence(graph)
         if solve_exact(rs) is not None:
             continue
         rows = rs.relation_rows()
@@ -351,7 +349,7 @@ def test_large_k0_is_refuted_without_search(monkeypatch):
     monkeypatch.setattr(cohnibn.decision, "find_scalar_witness", _no_search)
     for n in (7, 8, 64):
         spec = AlgebraSpec(kind=KIND_LEAVITT, graph=_rose(n))
-        verdict = decide_imn(decide_ibn(spec))
+        verdict = decide_ibn(spec)
         assert verdict.ibn == IBN_REFUTED and verdict.imn == IMN_UNKNOWN
         assert verdict.route == "witness-construction"
         assert (verdict.witness.m, verdict.witness.m_prime) == (1, n)
@@ -372,7 +370,7 @@ def test_search_tries_only_pairs_the_order_allows(monkeypatch):
 
     monkeypatch.setattr(cohnibn.rewriting, "decide_equivalent", recording)
     # R_2 joins rho and 2*rho; a step of 2 or 3 must pass over that pair.
-    rs = monoid_presentation(incidence(_rose(2)))
+    rs = incidence(_rose(2))
     found = [find_scalar_witness((1,), rs, step=step) for step in (1, 2, 3)]
     assert [(w.m, w.m_prime) for w in found] == [(1, 2), (1, 3), (1, 4)]
     # Pairs are tried on closures; only the least pair that meets is
@@ -397,11 +395,11 @@ def test_search_skips_pairs_over_the_coefficient_cap(monkeypatch):
 
     monkeypatch.setattr(cohnibn.rewriting, "forward_closure", recording)
     bounds = SearchBounds(max_states=1000)
-    rs = monoid_presentation(incidence(graph))
+    rs = incidence(graph)
     k0, _, _ = torsion_order(rs.relation_rows(), (1,) * rs.num_generators)
     find_scalar_witness((1,) * rs.num_generators, rs, bounds, step=k0)
     spec = AlgebraSpec(kind=KIND_LEAVITT, graph=graph)
-    verdict = decide_imn(decide_ibn(spec, bounds))
+    verdict = decide_ibn(spec, bounds)
     assert roots and max(roots) <= bounds.max_total_coefficient
     assert verdict.route == "witness-construction"
     assert audit(verdict, spec)
@@ -455,8 +453,8 @@ def test_skipped_pairs_leave_the_search_result_unchanged(monkeypatch):
     rng = random.Random(21)
     targets = found = every = 0
     while targets < 30:
-        rs = monoid_presentation(incidence(
-            make_random_graph(rng, max_vertices=5, max_edges=10)))
+        rs = incidence(
+            make_random_graph(rng, max_vertices=5, max_edges=10))
         rows = rs.relation_rows()
         if solve_exact(rs) is not None or len(echelon_basis(rows)) == rs.num_rules:
             continue
@@ -485,7 +483,7 @@ def test_every_open_verdict_gives_k0_and_the_flag_to_raise():
     routes = set()
     for _ in range(150):
         spec = AlgebraSpec(kind=KIND_LEAVITT, graph=make_random_graph(rng))
-        verdict = decide_imn(decide_ibn(spec, tight))
+        verdict = decide_ibn(spec, tight)
         routes.add(verdict.route)
         assert audit(verdict, spec)
         if verdict.ibn == IBN_CERTIFIED:
@@ -507,7 +505,7 @@ def test_infinite_order_without_certificate_is_an_invariant_violation(monkeypatc
 
 def test_audit_lets_unexpected_errors_through(monkeypatch):
     spec = AlgebraSpec(kind=KIND_COHN, graph=rose_two())
-    verdict = decide_imn(decide_ibn(spec))
+    verdict = decide_ibn(spec)
 
     def broken(spec):
         raise RuntimeError("bug in target resolution")
@@ -585,7 +583,7 @@ def test_every_graph_with_at_most_two_vertices_matches_the_criterion():
     # C^X(E) fails IBN exactly when the all-ones vector lies in the
     # Q-span of e_v - A_v over v in X (X empty: Cohn; X = Reg(E): Leavitt).
     bounds = SearchBounds(max_states=200)
-    cases = refuted = 0
+    cases = refuted = verdicts = 0
     for names, rows, graph in _small_graphs():
         n = len(names)
         regular = [i for i in range(n) if any(rows[i])]
@@ -602,9 +600,12 @@ def test_every_graph_with_at_most_two_vertices_matches_the_criterion():
             ibn_holds = _rank(relations) < _rank(relations + [[1] * n])
             x_names = tuple(names[i] for i in x) if kind == KIND_RELATIVE else ()
             spec = AlgebraSpec(kind=kind, graph=graph, x=x_names)
-            verdict = decide_imn(decide_ibn(spec, bounds))
+            verdict = decide_ibn(spec, bounds)
             assert audit(verdict, spec), (rows, kind, x_names)
             assert (verdict.ibn == IBN_CERTIFIED) == ibn_holds, (rows, kind, x_names)
+            # decide_ibn alone fills imn: it holds exactly when certified.
+            assert verdict.imn == (IMN_HOLDS if ibn_holds else IMN_UNKNOWN)
+            verdicts += 1
             if verdict.ibn == IBN_REFUTED:
                 # R^m ~ R^m' puts (m' - m)[1] at 0 in K0, so the order of
                 # [1] modulo the relations over X divides m' - m.
@@ -615,3 +616,4 @@ def test_every_graph_with_at_most_two_vertices_matches_the_criterion():
             cases += kind == KIND_RELATIVE
     assert cases == 294
     assert refuted == 114
+    assert verdicts == 462

@@ -1,4 +1,4 @@
-"""Graph model, validation, classification, and incidence matrices."""
+"""Graph model, validation, classification, and incidence presentations."""
 
 import random
 
@@ -10,7 +10,7 @@ from cohnibn import (
     Edge,
     EmptyGraphError,
     Graph,
-    IncidenceMatrix,
+    RewriteSystem,
     classify,
     graph_from,
     incidence,
@@ -76,48 +76,51 @@ def test_classify_isolated_vertex_is_sink():
 
 
 def test_incidence_line_graph():
-    m = incidence(line_graph())
-    assert m.order == ("u", "v", "w")
-    assert m.num_regular == 2
-    assert m.entries == ((0, 1, 0), (0, 0, 1), (0, 0, 0))
+    rs = incidence(line_graph())
+    assert rs.generators == ("u", "v", "w")
+    assert rs.num_rules == 2
+    assert rs.rule_add == ((0, 1, 0), (0, 0, 1))
 
 
 def test_incidence_counts_multiplicity():
-    m = incidence(rose_two())
-    assert m.order == ("v",)
-    assert m.num_regular == 1
-    assert m.entries == ((2,),)
+    rs = incidence(rose_two())
+    assert rs.generators == ("v",)
+    assert rs.num_rules == 1
+    assert rs.rule_add == ((2,),)
 
     g = validate(graph_from(["a", "b"], [("e", "a", "b"), ("f", "a", "b")]))
-    assert incidence(g).entries == ((0, 2), (0, 0))
+    assert incidence(g).rule_add == ((0, 2),)
 
 
 def test_incidence_rows_past_regular_block_are_zero():
-    m = incidence(line_graph())
-    assert not any(map(any, m.entries[m.num_regular:]))
+    # Only regular vertices get a rule: the generators past them are sinks.
+    g = line_graph()
+    rs = incidence(g)
+    assert rs.generators[rs.num_rules:] == classify(g).sinks == ("w",)
 
 
 def test_incidence_totals_count_edges():
     rng = random.Random(53)
     for _ in range(40):
         g = make_random_graph(rng)
-        assert sum(map(sum, incidence(g).entries)) == g.num_edges
+        assert sum(map(sum, incidence(g).rule_add)) == g.num_edges
 
 
 def test_incidence_row_is_zero_exactly_at_sinks():
     rng = random.Random(59)
     for _ in range(40):
         g = make_random_graph(rng)
-        m = incidence(g)
+        rs = incidence(g)
         sinks = set(classify(g).sinks)
-        for i, name in enumerate(m.order):
-            assert (name in sinks) == (not any(m.entries[i]))
+        assert all(any(row) for row in rs.rule_add)
+        for i, name in enumerate(rs.generators):
+            assert (name in sinks) == (i >= rs.num_rules)
 
 
 def test_incidence_entries_are_read_only():
-    m = incidence(rose_two())
+    rs = incidence(rose_two())
     with pytest.raises(TypeError):
-        m.entries[0][0] = 9
+        rs.rule_add[0][0] = 9
 
 
 def test_incidence_matrix_equality():
@@ -127,5 +130,15 @@ def test_incidence_matrix_equality():
     assert a == b
     assert a != c
     assert a != "not a matrix"
-    other = IncidenceMatrix(order=("v",), entries=((3,),), num_regular=1)
+    other = RewriteSystem(generators=("v",), rule_add=((3,),))
     assert a != other
+
+
+def test_incidence_rejects_a_sink_before_a_regular_vertex():
+    g = graph_from(["s", "a", "b"], [("e", "a", "s"), ("f", "b", "a")])
+    with pytest.raises(ValueError, match="sink precedes a regular vertex"):
+        incidence(g)
+    rs = incidence(validate(g))
+    assert rs.generators == ("a", "b", "s")
+    assert rs.rule_add == ((0, 0, 1), (1, 0, 0))
+    assert rs.generators[rs.num_rules:] == classify(g).sinks

@@ -28,7 +28,6 @@ from cohnibn import (
     incidence,
     line_graph,
     load_example,
-    monoid_presentation,
     parse_graph,
     parse_graph_json,
     parse_graph_text,
@@ -597,7 +596,7 @@ def test_cli_lattice_separations_verify_independently(cli, tmp_path):
         presentation = rng.choice(["graph", "cohn"])
         width = len(graph.vertices)
         if presentation == "cohn":
-            width += incidence(graph).num_regular
+            width += incidence(graph).num_rules
         a, b = ([rng.randint(0, 2) for _ in range(width)] for _ in range(2))
         if not any(a) or not any(b):
             continue
@@ -642,7 +641,7 @@ def test_cli_monoid_equiv_identical_vectors(cli):
     assert "status: equivalent" in out
 
 
-def test_cli_monoid_equiv_cohn_presentation(cli):
+def test_cli_monoid_equiv_cohn_presentation(cli, tmp_path):
     code, out, _ = cli(
         ["monoid-equiv", "--example", "r2", "--presentation", "cohn",
          "-a", "1,0", "-b", "2,1"]
@@ -650,6 +649,15 @@ def test_cli_monoid_equiv_cohn_presentation(cli):
     assert code == EXIT_OK
     assert "generators: v q_v" in out
     assert "status: equivalent" in out
+
+    # A vertex named q_v pushes v's marker to q_v', in the lattice block too.
+    path = tmp_path / "clash.graph"
+    path.write_text("vertex v;\nvertex q_v;\nedge e: v -> q_v;\nedge f: v -> v;\n")
+    code, out, _ = cli(["monoid-equiv", str(path), "--presentation", "cohn",
+                        "-a", "1,0,0", "-b", "0,1,0"])
+    assert code == EXIT_REFUTED
+    assert "generators: v q_v q_v'\n" in out
+    assert "lattice: generators v q_v q_v', functional (1,0,0), modulus 0\n" in out
 
 
 def test_cli_monoid_equiv_bad_vectors(cli):
@@ -954,7 +962,7 @@ def _cli_calls(draw):
         graph = (load_example(example)[0] if stdin is None
                  else validate(parse_graph(stdin)))
         rs = (cohn_presentation(graph) if presentation == "cohn"
-              else monoid_presentation(incidence(graph)))
+              else incidence(graph))
         width = rs.num_generators
     except CohnIbnError:
         width = 1  # the graph is refused before the vectors are read

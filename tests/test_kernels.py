@@ -17,7 +17,6 @@ from cohnibn import (
     SearchBounds,
     cohn_companion,
     incidence,
-    monoid_presentation,
 )
 from cohnibn.rewriting import _rule_deltas, _Side, expand_frontier
 from conftest import make_random_graph
@@ -55,7 +54,7 @@ def _random_case(rng):
     """A random system and frontier; ``seen`` holds the frontier and some
     of its children, and the state cap often falls inside the level."""
     g = cohn_companion(make_random_graph(rng, max_vertices=4, max_edges=8)).graph
-    rs = monoid_presentation(incidence(g))
+    rs = incidence(g)
     frontier = [
         tuple(rng.randint(0, 4) for _ in range(rs.num_generators))
         for _ in range(rng.randint(0, 64))
@@ -177,7 +176,7 @@ def test_capped_level_keeps_a_prefix_of_the_uncapped_level():
     capped = 0
     for _ in range(80):
         g = cohn_companion(make_random_graph(rng, max_vertices=4, max_edges=8)).graph
-        rs = monoid_presentation(incidence(g))
+        rs = incidence(g)
         root = tuple([1] + [rng.randint(0, 1) for _ in range(rs.num_generators - 1)])
         total, depth = rng.randint(8, 40), rng.randint(2, 16)
         whole = _grown(root, rs, SearchBounds(_NO_CAP, total, depth))
@@ -234,13 +233,12 @@ def test_search_results_identical_across_backends():
     # hash seed, gives the same outcome object, traces included.
     from cohnibn import decide_equivalent, f_rose_two
 
-    rs = monoid_presentation(incidence(f_rose_two()))
+    rs = incidence(f_rose_two())
     here = decide_equivalent((1, 2), (2, 4), rs)
 
     code = (
-        "from cohnibn import decide_equivalent, f_rose_two, incidence, "
-        "monoid_presentation\n"
-        "rs = monoid_presentation(incidence(f_rose_two()))\n"
+        "from cohnibn import decide_equivalent, f_rose_two, incidence\n"
+        "rs = incidence(f_rose_two())\n"
         "out = decide_equivalent((1, 2), (2, 4), rs)\n"
         "print((out.status, out.descendant, out.trace_a.steps, out.trace_b.steps))\n"
     )

@@ -18,7 +18,6 @@ from cohnibn import (
     construct_scalar_witness,
     graph_from,
     incidence,
-    monoid_presentation,
     rose_two,
     separating_functional,
     torsion_order,
@@ -28,11 +27,11 @@ from conftest import LONG_WITNESS_ROWS, graph_from_rows, make_random_graph
 from test_certificates import reference_weights
 
 
-def _relation_rows(matrix):
+def _relation_rows(rs):
     """Rows e_v - A_v for the regular vertices, as Python ints."""
     rows = []
-    for i in range(matrix.num_regular):
-        row = [-int(a) for a in matrix.entries[i]]
+    for i, add in enumerate(rs.rule_add):
+        row = [-int(a) for a in add]
         row[i] += 1
         rows.append(row)
     return rows
@@ -111,7 +110,7 @@ def test_torsion_order_kernel_is_a_basis_of_the_row_relations():
         deficient += bool(kernel)
     assert deficient >= 100
     # G's rows have rank 8 of 9, and their one relation is kappa.
-    rs = monoid_presentation(incidence(graph_from_rows(LONG_WITNESS_ROWS)))
+    rs = incidence(graph_from_rows(LONG_WITNESS_ROWS))
     kappa = (-931, 1309, -227, 376, 227, 698, -1387, -228, -488)
     _, _, kernel = torsion_order(rs.relation_rows(), (1,) * rs.num_generators)
     assert kernel in ((kappa,), (tuple(-a for a in kappa),))
@@ -149,18 +148,18 @@ def test_torsion_order_matches_definition_on_random_graphs():
     rng = random.Random(11)
     torsion = 0
     for _ in range(300):
-        matrix = incidence(make_random_graph(rng))
-        rows = _relation_rows(matrix)
-        rho = [1] * matrix.size
+        rs = incidence(make_random_graph(rng))
+        rows = _relation_rows(rs)
+        rho = [1] * rs.num_generators
         result = torsion_order(rows, rho)
-        has_certificate = reference_weights(matrix) is not None
+        has_certificate = reference_weights(rs) is not None
         assert (result is None) == has_certificate
         if result is None:
             continue
         torsion += 1
         k, lam, _ = result
         assert k >= 1 and len(lam) == len(rows)
-        assert _combine(lam, rows, matrix.size) == [k * a for a in rho]
+        assert _combine(lam, rows, rs.num_generators) == [k * a for a in rho]
     assert torsion >= 20
 
 
@@ -257,12 +256,11 @@ def leavitt_graphs(draw):
 @given(leavitt_graphs())
 @settings(max_examples=80, deadline=None)
 def test_certificate_or_replayable_torsion_witness(graph):
-    matrix = incidence(graph)
-    rs = monoid_presentation(matrix)
-    n = matrix.size
-    torsion = torsion_order(_relation_rows(matrix), [1] * n)
+    rs = incidence(graph)
+    n = rs.num_generators
+    torsion = torsion_order(_relation_rows(rs), [1] * n)
     # Exactly one of the two kinds of evidence exists.
-    assert (torsion is None) == (reference_weights(matrix) is not None)
+    assert (torsion is None) == (reference_weights(rs) is not None)
     if torsion is None:
         return
     k, lam, _ = torsion
@@ -277,7 +275,7 @@ def test_certificate_or_replayable_torsion_witness(graph):
 
 
 def test_construction_reports_each_broken_bound():
-    rs = monoid_presentation(incidence(rose_two()))
+    rs = incidence(rose_two())
     k, lam, _ = torsion_order([[-1]], [1])
     ok = construct_scalar_witness(rs, k, lam)
     assert (ok.witness.m, ok.witness.m_prime) == (1, 2)
@@ -299,8 +297,8 @@ def test_construction_reports_each_broken_bound():
         [("a", "u", "u"), ("b", "u", "w"), ("c", "w", "u"), ("d", "w", "u"),
          ("e", "w", "u"), ("f", "w", "w")],
     )
-    rs = monoid_presentation(incidence(g))
-    assert torsion_order(_relation_rows(incidence(g)), [1, 1]) == (3, (-3, -1), ())
+    rs = incidence(g)
+    assert torsion_order(_relation_rows(rs), [1, 1]) == (3, (-3, -1), ())
     deep = construct_scalar_witness(rs, 3, (-3, -1), bounds=SearchBounds(max_depth=3))
     assert deep.witness is None and deep.needs == (("max_depth", 4),)
     both = construct_scalar_witness(
@@ -319,7 +317,7 @@ def test_construction_checks_its_bounds_before_firing(monkeypatch):
         raise AssertionError("the construction fired past a broken bound")
 
     monkeypatch.setattr(cohnibn.rewriting, "fire_greedily", no_firing)
-    rs = monoid_presentation(incidence(graph_from_rows(LONG_WITNESS_ROWS)))
+    rs = incidence(graph_from_rows(LONG_WITNESS_ROWS))
     rows = rs.relation_rows()
     assert len(echelon_basis(rows)) < rs.num_rules
     k, lam, _ = torsion_order(rows, (1,) * rs.num_generators)
@@ -338,7 +336,7 @@ def test_construction_checks_the_fired_end_against_its_total(monkeypatch):
         return ReductionTrace(trace.start, trace.steps + ((0, end),))
 
     monkeypatch.setattr(cohnibn.rewriting, "fire_greedily", one_more_unit)
-    rs = monoid_presentation(incidence(rose_two()))
+    rs = incidence(rose_two())
     k, lam, _ = torsion_order([[-1]], [1])
     with pytest.raises(InternalInvariantViolation):
         construct_scalar_witness(rs, k, lam)

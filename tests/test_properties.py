@@ -14,7 +14,6 @@ from cohnibn import (
     gamma,
     graph_from,
     incidence,
-    monoid_presentation,
     parse_weights,
     serialize_weights,
     settle_without_search,
@@ -67,10 +66,9 @@ def test_validate_preserves_vertex_and_edge_sets(g):
 @settings(max_examples=60, deadline=None)
 def test_gamma_invariant_under_rewriting(data):
     g = data.draw(graphs())
-    matrix = incidence(cohn_companion(g).graph)
-    cert = solve_exact(monoid_presentation(matrix))
+    rs = incidence(cohn_companion(g).graph)
+    cert = solve_exact(rs)
     assert cert is not None
-    rs = monoid_presentation(matrix)
     assert verify_certificate(cert, rs)
     elem = _small_element(data.draw, rs.num_generators)
     value = gamma(cert, elem)
@@ -82,7 +80,7 @@ def test_gamma_invariant_under_rewriting(data):
 @settings(max_examples=60, deadline=None)
 def test_one_step_successors_replay_as_traces(data):
     g = data.draw(graphs())
-    rs = monoid_presentation(incidence(g))
+    rs = incidence(g)
     elem = _small_element(data.draw, rs.num_generators)
     for succ in one_step(elem, rs):
         fired = [
@@ -104,7 +102,7 @@ def test_one_step_successors_replay_as_traces(data):
 @settings(max_examples=40, deadline=None)
 def test_rewrites_of_an_element_stay_equivalent(data):
     g = data.draw(graphs(max_vertices=4, max_edges=6))
-    rs = monoid_presentation(incidence(cohn_companion(g).graph))
+    rs = incidence(cohn_companion(g).graph)
     elem = _small_element(data.draw, rs.num_generators)
     if not any(elem):
         return
@@ -124,7 +122,7 @@ def test_rewrites_of_an_element_stay_equivalent(data):
 @settings(max_examples=40, deadline=None)
 def test_normal_forms_on_acyclic_graphs(data):
     g = data.draw(graphs(acyclic=True))
-    rs = monoid_presentation(incidence(g))
+    rs = incidence(g)
     elem = _small_element(data.draw, rs.num_generators)
     nf = closure_normal_form(elem, rs)
     assert sum(elem) == 0 or sum(nf) > 0
@@ -171,7 +169,7 @@ def test_weight_serialization_round_trip(weights):
 def test_closure_membership_is_symmetric_for_equivalence(data):
     # If the search proves a ~ b, then searching b ~ a succeeds too.
     g = data.draw(graphs(max_vertices=3, max_edges=5))
-    rs = monoid_presentation(incidence(g))
+    rs = incidence(g)
     width = rs.num_generators
     a = tuple(data.draw(st.integers(0, 2)) for _ in range(width))
     b = tuple(data.draw(st.integers(0, 2)) for _ in range(width))
@@ -198,7 +196,7 @@ def test_rewrites_of_one_root_are_never_separated(data):
     if data.draw(st.booleans()):
         rs = cohn_presentation(g)
     else:
-        rs = monoid_presentation(incidence(g))
+        rs = incidence(g)
     root = _small_element(data.draw, rs.num_generators)
     if not any(root):
         return

@@ -26,7 +26,6 @@ from cohnibn import (
     incidence,
     line_graph,
     graph_from,
-    monoid_presentation,
     rose_two,
     scale,
     settle_without_search,
@@ -38,11 +37,11 @@ from conftest import closure_normal_form, make_random_graph, one_step
 
 
 def _f_r2_system():
-    return monoid_presentation(incidence(f_rose_two()))
+    return incidence(f_rose_two())
 
 
 def test_monoid_presentation_line():
-    rs = monoid_presentation(incidence(line_graph()))
+    rs = incidence(line_graph())
     assert rs.generators == ("u", "v", "w")
     assert list(rs.rules()) == [(0, (0, 1, 0)), (1, (0, 0, 1))]
 
@@ -62,9 +61,22 @@ def test_cohn_presentation_line_graph():
     ]
 
 
+def test_cohn_presentation_markers_never_take_a_vertex_name():
+    # q_v is a vertex here, so v's marker takes a prime.
+    g = validate(graph_from(["v", "q_v"], [("e", "v", "q_v"), ("f", "v", "v")]))
+    assert cohn_presentation(g).generators == ("v", "q_v", "q_v'")
+    # v's marker q_v' then holds the name v''s marker would take.
+    g = validate(graph_from(
+        ["v", "v'", "q_v"], [("e", "v", "v'"), ("f", "v'", "q_v")]
+    ))
+    rs = cohn_presentation(g)
+    assert rs.generators == ("v", "v'", "q_v", "q_v'", "q_v''")
+    assert list(rs.rules()) == [(0, (0, 1, 0, 1, 0)), (1, (0, 0, 1, 0, 1))]
+
+
 def test_presentations_of_edgeless_graph_are_free():
     g = validate(graph_from(["a", "b"]))
-    rs = monoid_presentation(incidence(g))
+    rs = incidence(g)
     assert rs.generators == ("a", "b")
     assert rs.num_rules == 0
     cohn = cohn_presentation(g)
@@ -100,7 +112,7 @@ def test_one_step_successors():
 
 
 def test_one_step_lists_a_successor_per_applicable_rule():
-    rs = monoid_presentation(incidence(f_line_graph()))
+    rs = incidence(f_line_graph())
     assert one_step((1, 1, 1, 1, 1), rs) == (
         (0, 2, 1, 1, 2),
         (1, 0, 2, 1, 1),
@@ -134,7 +146,7 @@ def test_trace_replay_rejects_illegal_sequences():
 
 
 def test_forward_closure_acyclic_is_complete():
-    rs = monoid_presentation(incidence(line_graph()))
+    rs = incidence(line_graph())
     closure = forward_closure((1, 1, 1), rs)
     assert closure.elements == {
         (1, 1, 1),
@@ -147,21 +159,21 @@ def test_forward_closure_acyclic_is_complete():
 
 
 def test_forward_closure_of_fixed_point_is_singleton():
-    rs = monoid_presentation(incidence(line_graph()))
+    rs = incidence(line_graph())
     closure = forward_closure((0, 0, 5), rs)
     assert closure.elements == {(0, 0, 5)}
     assert not closure.truncated
 
 
 def test_forward_closure_truncates_at_total_coefficient():
-    rs = monoid_presentation(incidence(rose_two()))
+    rs = incidence(rose_two())
     closure = forward_closure((1,), rs, SearchBounds(max_total_coefficient=5))
     assert closure.elements == {(1,), (2,), (3,), (4,), (5,)}
     assert closure.truncated
 
 
 def test_forward_closure_respects_state_cap():
-    rs = monoid_presentation(incidence(rose_two()))
+    rs = incidence(rose_two())
     closure = forward_closure(
         (1,), rs, SearchBounds(max_states=3, max_total_coefficient=60)
     )
@@ -199,7 +211,7 @@ def test_forward_closure_matches_a_set_based_search():
     for _ in range(40):
         g = make_random_graph(rng, max_vertices=5, max_edges=10)
         for graph in (g, cohn_companion(g).graph):
-            rs = monoid_presentation(incidence(graph))
+            rs = incidence(graph)
             elem = [rng.randint(0, 3) for _ in range(rs.num_generators)]
             bounds = SearchBounds(
                 max_total_coefficient=max(1, sum(elem) + rng.randint(0, 12)),
@@ -238,7 +250,7 @@ def test_decide_equivalent_rejects_zero():
 
 
 def test_decide_equivalent_finds_common_descendant():
-    rs = monoid_presentation(incidence(line_graph()))
+    rs = incidence(line_graph())
     out = decide_equivalent((1, 1, 1), (0, 0, 3), rs)
     assert out.status == EQUIVALENT
     assert out.trace_a.replay(rs) == out.descendant
@@ -256,15 +268,38 @@ def test_decide_equivalent_even_pair_meets_after_one_step():
 
 
 def test_decide_equivalent_disjoint_complete_closures():
-    rs = monoid_presentation(incidence(line_graph()))
+    rs = incidence(line_graph())
     out = decide_equivalent((1, 0, 0), (0, 0, 2), rs)
     assert out.status == NOT_EQUIVALENT
     assert out.reason == "disjoint-closures"
 
 
+def test_disjoint_closures_are_always_lattice_separated():
+    # decide_equivalent's docstring proves that complete disjoint closures
+    # put a - b outside the lattice of the reachable rules, so the lattice
+    # stage settles every such pair before a search.
+    bounds = SearchBounds(max_states=2000, max_total_coefficient=12, max_depth=12)
+    rng = random.Random(41)
+    disjoint = 0
+    for _ in range(1500):
+        g = make_random_graph(rng, max_vertices=4, max_edges=8)
+        for rs in (incidence(g), cohn_presentation(g)):
+            for _ in range(3):
+                a, b = ([rng.randint(0, 2) for _ in range(rs.num_generators)]
+                        for _ in range(2))
+                if not any(a) or not any(b):
+                    continue
+                if decide_equivalent(a, b, rs, bounds).reason != "disjoint-closures":
+                    continue
+                disjoint += 1
+                settled = settle_without_search(a, b, rs)
+                assert settled.reason == "lattice-separation", (g, a, b)
+                assert check_lattice_separation(a, b, rs, settled.lattice)
+    assert disjoint >= 1000
+
+
 def test_settle_without_search_gamma_short_circuit():
-    matrix = incidence(f_rose_two())
-    rs = monoid_presentation(matrix)
+    rs = incidence(f_rose_two())
     cert = solve_exact(rs)
     out = settle_without_search((1, 0), (2, 0), rs, invariant=cert)
     assert out.status == NOT_EQUIVALENT
@@ -273,8 +308,7 @@ def test_settle_without_search_gamma_short_circuit():
 
 
 def test_decide_equivalent_equal_gamma_does_not_prove_equivalence():
-    matrix = incidence(f_rose_two())
-    rs = monoid_presentation(matrix)
+    rs = incidence(f_rose_two())
     cert = solve_exact(rs)
     # (2, 8) and (0, 4) share the weight -4 yet lie in distinct classes;
     # equal weights must not short-circuit, so only a search can go on,
@@ -296,7 +330,7 @@ def test_decide_equivalent_unknown_on_truncation():
 
 
 def test_decide_equivalent_no_rules_free_monoid():
-    rs = monoid_presentation(incidence(line_graph()))
+    rs = incidence(line_graph())
     free = RewriteSystem(rs.generators, ())
     assert decide_equivalent((1, 0, 0), (1, 0, 0), free).status == EQUIVALENT
     out = decide_equivalent((1, 0, 0), (0, 1, 0), free)
@@ -305,16 +339,16 @@ def test_decide_equivalent_no_rules_free_monoid():
 
 
 def test_normal_form_line_and_companion():
-    rs = monoid_presentation(incidence(line_graph()))
+    rs = incidence(line_graph())
     assert closure_normal_form((1, 1, 1), rs) == (0, 0, 3)
-    rs_f = monoid_presentation(incidence(f_line_graph()))
+    rs_f = incidence(f_line_graph())
     assert closure_normal_form((1, 1, 1, 1, 1), rs_f) == (0, 0, 3, 1, 2)
 
 
 def test_normal_form_is_path_independent():
     # The normal form is the one vector of the complete closure with no
     # rule left to fire; every successor's closure reaches that same one.
-    rs = monoid_presentation(incidence(f_line_graph()))
+    rs = incidence(f_line_graph())
     elem = (2, 1, 0, 1, 3)
     nf = closure_normal_form(elem, rs)
     for succ in one_step(elem, rs):
@@ -327,7 +361,7 @@ def test_scale():
 
 
 def test_find_scalar_witness_rose_two():
-    rs = monoid_presentation(incidence(rose_two()))
+    rs = incidence(rose_two())
     w = find_scalar_witness((1,), rs)
     assert (w.m, w.m_prime) == (1, 2)
     assert w.descendant == (2,)
@@ -336,7 +370,7 @@ def test_find_scalar_witness_rose_two():
 
 
 def test_find_scalar_witness_none_when_gamma_exists():
-    rs = monoid_presentation(incidence(line_graph()))
+    rs = incidence(line_graph())
     assert find_scalar_witness((1, 1, 1), rs) is None
 
 
@@ -350,7 +384,7 @@ def test_find_scalar_witness_none_in_cohn_presentation():
 
 
 def test_find_scalar_witness_argument_checks():
-    rs = monoid_presentation(incidence(rose_two()))
+    rs = incidence(rose_two())
     with pytest.raises(OutOfRangeError):
         find_scalar_witness((1,), rs, step=0)
     with pytest.raises(ZeroElementError):
@@ -371,7 +405,7 @@ def test_lattice_evidence_check_rejects_tampering():
         (relative, (0, 1), (0, 2), ((0, 1), (-1, 1), 0)),
         (rose3, (1,), (2,), ((0,), (1,), 2)),
     ):
-        rs = monoid_presentation(incidence(graph))
+        rs = incidence(graph)
         outcome = settle_without_search(a, b, rs)
         assert (outcome.status, outcome.reason) == (NOT_EQUIVALENT, "lattice-separation")
         sep = outcome.lattice
@@ -387,5 +421,5 @@ def test_lattice_evidence_check_rejects_tampering():
         ):
             assert not check_lattice_separation(a, b, rs, tampered), tampered
     # The search alone cannot refute there: every closure on the rose is infinite.
-    rs = monoid_presentation(incidence(rose3))
+    rs = incidence(rose3)
     assert decide_equivalent((1,), (2,), rs, SearchBounds(max_states=50)).status == UNKNOWN
