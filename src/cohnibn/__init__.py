@@ -65,7 +65,6 @@ from .rewriting import (
     forward_closure,
     incidence,
     scale,
-    settle_without_search,
 )
 from .lattice import separating_functional, torsion_order
 from .certificates import (
@@ -129,7 +128,7 @@ __all__ = [
     "scale", "incidence", "cohn_presentation", "forward_closure",
     "decide_equivalent",
     "find_scalar_witness", "construct_scalar_witness",
-    "LatticeSeparation", "settle_without_search", "check_lattice_separation",
+    "LatticeSeparation", "check_lattice_separation",
     # lattice
     "torsion_order", "separating_functional",
     # certificates

@@ -86,9 +86,12 @@ def verify_certificate(cert: WeightCertificate, rs: "RewriteSystem") -> bool:
 
     True iff the weights sum to 1 and, for every rule, the weight of the
     rewritten generator equals Gamma of its replacement.  Together these
-    make Gamma invariant under every rewrite step.
+    make Gamma invariant under every rewrite step.  A certificate with
+    other generators, or another number of weights, is rejected.
     """
     if cert.generators != tuple(rs.generators):
+        return False
+    if len(cert.weights) != len(cert.generators):
         return False
     if sum(cert.weights, Fraction(0)) != 1:
         return False

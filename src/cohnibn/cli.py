@@ -42,7 +42,6 @@ from .rewriting import (
     cohn_presentation,
     decide_equivalent,
     incidence,
-    settle_without_search,
 )
 
 EXIT_OK = 0
@@ -338,10 +337,8 @@ def _cmd_monoid_equiv(ns) -> int:
 
     vec_a = _parse_vector(ns.vec_a)
     vec_b = _parse_vector(ns.vec_b)
-    outcome = settle_without_search(vec_a, vec_b, rs, invariant)
-    if outcome is None:
-        outcome = decide_equivalent(vec_a, vec_b, rs, bounds)
-    elif outcome.lattice is not None and not check_lattice_separation(
+    outcome = decide_equivalent(vec_a, vec_b, rs, bounds, invariant)
+    if outcome.lattice is not None and not check_lattice_separation(
         vec_a, vec_b, rs, outcome.lattice
     ):
         raise InternalInvariantViolation("lattice separation failed its own check")

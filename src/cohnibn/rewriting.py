@@ -9,11 +9,10 @@ row.  ``cohn_presentation`` adds one marker generator per rule.
 Two nonzero elements are equal in the quotient monoid exactly when some
 forward rewrites lead them to a common vector, which is what the bounded
 breadth-first search below looks for.  A search can therefore prove
-equality (with replayable traces) but can refute it only when both
-reachability closures are complete.  Two checks refute without a search,
-and ``settle_without_search`` runs both before any search: a weight
-functional that separates the two sides, and the lattice of the rules that
-can fire from them.  ``decide_equivalent`` is the search alone.
+equality, with replayable traces; refutations come from two checks that
+need no search: a weight functional that separates the two sides, and the
+lattice of the rules that can fire from them.  ``decide_equivalent`` runs
+those checks, then the search, and returns the finished outcome.
 
 The search is plain Python on int tuples.  ``expand_frontier`` fires one
 level in (parent, rule) order, building each child from its rule's sparse
@@ -399,24 +398,6 @@ def forward_closure(
     return Closure(frozenset(side.vectors), side.truncated, side.depth)
 
 
-def _nonzero_pair(
-    a: Sequence[int], b: Sequence[int], rs: RewriteSystem
-) -> tuple[Vector, Vector]:
-    va = as_vector(a, rs)
-    vb = as_vector(b, rs)
-    if not any(va) or not any(vb):
-        raise ZeroElementError("equivalence search requires nonzero elements")
-    return va, vb
-
-
-def _identical(vec: Vector) -> EquivalenceOutcome:
-    """A vector is equivalent to itself, with empty traces."""
-    empty = ReductionTrace(start=vec, steps=())
-    return EquivalenceOutcome(
-        status=EQUIVALENT, descendant=vec, trace_a=empty, trace_b=empty
-    )
-
-
 def _reachable(
     va: Vector, vb: Vector, adds: dict[int, Vector]
 ) -> tuple[int, ...]:
@@ -431,53 +412,6 @@ def _reachable(
     return tuple(sorted(seen))
 
 
-def settle_without_search(
-    a: Sequence[int],
-    b: Sequence[int],
-    rs: RewriteSystem,
-    invariant: WeightCertificate | None = None,
-) -> EquivalenceOutcome | None:
-    """Decide a pair of nonzero elements by the checks that need no search.
-
-    In order: equal vectors are equivalent; the weight functional, when
-    supplied, separates by its values (gamma-separation); then the
-    restricted lattice.  Only rules at the generators H reachable from
-    supp(a) | supp(b) can ever fire, and firing rule k subtracts its
-    relation row e_k - add_k, so a common descendant forces a - b into the
-    Z-span of those rows.  When a - b is outside it, the outcome is
-    not-equivalent with reason lattice-separation and a functional that
-    proves it.  Returns None when only a search can decide.
-    """
-    va, vb = _nonzero_pair(a, b, rs)
-    if va == vb:
-        return _identical(va)
-    if invariant is not None:
-        ga = gamma(invariant, va)
-        gb = gamma(invariant, vb)
-        if ga != gb:
-            return EquivalenceOutcome(
-                status=NOT_EQUIVALENT,
-                reason="gamma-separation",
-                gamma_values=(ga, gb),
-            )
-    adds = dict(rs.rules())
-    held = _reachable(va, vb, adds)
-    rows = [
-        [int(i == gen) - add[i] for i in held]
-        for gen, add in adds.items()
-        if gen in held
-    ]
-    found = separating_functional(rows, [va[i] - vb[i] for i in held])
-    if found is None:
-        return None
-    functional, modulus = found
-    return EquivalenceOutcome(
-        status=NOT_EQUIVALENT,
-        reason="lattice-separation",
-        lattice=LatticeSeparation(held, functional, modulus),
-    )
-
-
 def check_lattice_separation(
     a: Sequence[int],
     b: Sequence[int],
@@ -488,8 +422,10 @@ def check_lattice_separation(
 
     The reachable generators are recomputed as a fixed point over the
     rules, one round over all of them at a time, independently of how the
-    evidence was found.
+    evidence was found.  Elements of the wrong length are rejected.
     """
+    if not len(a) == len(b) == rs.num_generators:
+        return False
     held = [x > 0 or y > 0 for x, y in zip(a, b)]
     while True:
         grown = list(held)
@@ -524,37 +460,72 @@ def decide_equivalent(
     b: Sequence[int],
     rs: RewriteSystem,
     bounds: SearchBounds | None = None,
+    invariant: WeightCertificate | None = None,
 ) -> EquivalenceOutcome:
     """Decide whether two nonzero elements are equal in the quotient monoid.
 
-    The two reachability closures grow alternately, one breadth-first level
-    at a time, intersecting after every level.  Possible outcomes:
+    Four stages run in order, and the first that decides returns:
 
-    - equivalent: a common descendant was reached from both sides; the
-      returned traces replay to it.
-    - not-equivalent: both closures are complete within bounds and
-      disjoint.
-    - unknown: the search was truncated without finding a common vector.
+    - equal vectors are equivalent, with empty traces;
+    - the weight functional ``invariant``, when supplied, separates a and
+      b by its values: not-equivalent, reason gamma-separation;
+    - the restricted lattice.  Only rules at the generators H reachable
+      from supp(a) | supp(b) can ever fire, and firing rule k subtracts its
+      relation row e_k - add_k, so a common descendant forces a - b into
+      the Z-span of those rows.  When a - b is outside it, the outcome is
+      not-equivalent, reason lattice-separation, with a functional that
+      proves it;
+    - the search.  The two reachability closures grow alternately, one
+      breadth-first level at a time, intersecting after every level.  A
+      common descendant makes the pair equivalent, with traces that replay
+      to it; a search truncated without one ends unknown.
 
-    Equal vectors are equivalent at once.  The weight and lattice checks of
-    ``settle_without_search`` are not run here; callers that want them call
-    that first.
-
-    A pair with disjoint complete closures never gets past that lattice
-    check.  Every generator of H, the set reachable from supp(a) | supp(b),
-    holds a unit in some state of a closure, and a rule on a cycle that
-    adds more than the unit it removes makes the closure through it grow
-    without end.  So complete closures leave only exit-free cycles of
-    out-degree-1 vertices reachable (and no cycle at all under the Cohn
-    presentation, whose every firing adds a marker).  The monoid on H is
-    then free on its sinks and cycles, and it embeds in K0(H), which is
-    free abelian on them.  Hence a ~ b exactly when a - b is in the span of
-    H's relation rows, and disjoint closures put it outside.
+    The search never completes both closures disjoint, as the lattice
+    stage has settled every such pair; if it does, InternalInvariantViolation
+    is raised.  Every generator of H holds a unit in some state of a
+    closure, and a rule on a cycle that adds more than the unit it removes
+    makes the closure through it grow without end.  So complete closures
+    leave only exit-free cycles of out-degree-1 vertices reachable (and no
+    cycle at all under the Cohn presentation, whose every firing adds a
+    marker).  The monoid on H is then free on its sinks and cycles, and it
+    embeds in K0(H), which is free abelian on them.  Hence a ~ b exactly
+    when a - b is in the span of H's relation rows, and disjoint closures
+    put it outside.
     """
     bounds = bounds or SearchBounds()
-    va, vb = _nonzero_pair(a, b, rs)
+    va = as_vector(a, rs)
+    vb = as_vector(b, rs)
+    if not any(va) or not any(vb):
+        raise ZeroElementError("equivalence search requires nonzero elements")
     if va == vb:
-        return _identical(va)
+        empty = ReductionTrace(start=va, steps=())
+        return EquivalenceOutcome(
+            status=EQUIVALENT, descendant=va, trace_a=empty, trace_b=empty
+        )
+    if invariant is not None:
+        ga = gamma(invariant, va)
+        gb = gamma(invariant, vb)
+        if ga != gb:
+            return EquivalenceOutcome(
+                status=NOT_EQUIVALENT,
+                reason="gamma-separation",
+                gamma_values=(ga, gb),
+            )
+    adds = dict(rs.rules())
+    held = _reachable(va, vb, adds)
+    rows = [
+        [int(i == gen) - add[i] for i in held]
+        for gen, add in adds.items()
+        if gen in held
+    ]
+    found = separating_functional(rows, [va[i] - vb[i] for i in held])
+    if found is not None:
+        functional, modulus = found
+        return EquivalenceOutcome(
+            status=NOT_EQUIVALENT,
+            reason="lattice-separation",
+            lattice=LatticeSeparation(held, functional, modulus),
+        )
 
     side_a = _Side(va)
     side_b = _Side(vb)
@@ -580,8 +551,8 @@ def decide_equivalent(
             break
 
     if side_a.complete and side_b.complete:
-        return EquivalenceOutcome(
-            status=NOT_EQUIVALENT, reason="disjoint-closures"
+        raise InternalInvariantViolation(
+            "complete disjoint closures passed the lattice stage"
         )
     return EquivalenceOutcome(status=UNKNOWN)
 

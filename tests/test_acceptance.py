@@ -33,7 +33,6 @@ from cohnibn import (
     line_graph,
     rose_two,
     scale,
-    settle_without_search,
     solve_exact,
     verify_certificate,
 )
@@ -136,8 +135,8 @@ def test_criterion_05_parity_reductions_in_companion_of_rose_two():
         for m_prime in range(1, 6):
             if m == m_prime:
                 continue
-            out = settle_without_search(
-                (m, 0), (m_prime, 0), rs, invariant=cert
+            out = decide_equivalent(
+                (m, 0), (m_prime, 0), rs, ACCEPT_BOUNDS, invariant=cert
             )
             assert out.status == NOT_EQUIVALENT
             assert out.reason == "gamma-separation"

@@ -43,6 +43,7 @@ from cohnibn import (
     serialize_weights,
     solve_exact,
     torsion_order,
+    verify_certificate,
 )
 from cohnibn.lattice import echelon_basis
 from conftest import make_random_graph
@@ -157,6 +158,15 @@ def test_audit_rejects_tampered_certificate():
     )
     tampered = dataclasses.replace(verdict, certificate=bad_cert)
     assert not audit(tampered, spec)
+
+
+def test_audit_rejects_certificate_with_too_few_weights():
+    # One weight of 1 sums to 1, so only its length can reject it.
+    spec = AlgebraSpec(kind=KIND_COHN, graph=rose_two())
+    verdict = decide_ibn(spec)
+    short = WeightCertificate((Fraction(1),), verdict.certificate.generators)
+    assert not verify_certificate(short, incidence(verdict.target))
+    assert not audit(dataclasses.replace(verdict, certificate=short), spec)
 
 
 def test_audit_rejects_tampered_witness():

@@ -760,6 +760,31 @@ def test_readme_library_section_holds():
     assert not hasattr(cohnibn, "echelon_basis")
 
 
+def test_readme_command_line_section_holds(cli):
+    # Each command of the "Command line" block commented `# exit N` exits
+    # N, the family and monoid-equiv comments hold, and so do the lattice
+    # line and JSON block that "Deciding `monoid-equiv`" quotes.
+    section = _README.read_text().split("\n## Command line\n")[1]
+    block = section.split("```sh\n")[1].split("```")[0]
+    commented = re.findall(r"^cohnibn (.+?) +# exit (\d+)", block, re.M)
+    assert len(commented) >= 3
+    for command, code in commented:
+        assert cli(command.split())[0] == int(code), command
+    code, out, _ = cli(["ibn-check", "--family", "2", "1", "--algebra", "relative"])
+    assert (code, "witness: 1*rho ~ 2*rho" in out) == (10, True)
+    code, out, _ = cli(["monoid-equiv", "--example", "f-r2", "-a", "1,2", "-b", "2,4",
+                        "--format", "json"])
+    result = json.loads(out)["result"]
+    assert (code, result["status"]) == (0, "equivalent")
+    assert len(result["trace_a"]["steps"]) + len(result["trace_b"]["steps"]) == 1
+    quoted = re.search(r"`(lattice: [^`]+)` for\n`cohnibn ([^`]+)`", section)
+    code, out, _ = cli(quoted[2].split())
+    assert (code, quoted[1] in out.splitlines()) == (10, True)
+    shown = json.loads("{" + re.search(r"```json\n(.+)\n```", section)[1] + "}")
+    code, out, _ = cli([*quoted[2].split(), "--format", "json"])
+    assert (code, json.loads(out)["result"]["lattice"]) == (10, shown["lattice"])
+
+
 def test_every_name_in_all_is_exported():
     # The import list and __all__ of cohnibn are kept by hand; a name in
     # __all__ that is not imported breaks `from cohnibn import *`.
@@ -779,9 +804,7 @@ def test_cli_reports_are_deterministic(cli):
 
 def _pinned_invocations():
     """(argv, stdin) pairs: criterion 12's calls, then the routes and reasons
-    those miss, each in both formats.  disjoint-closures is not among them:
-    no graph input was found that reaches it, as the lattice check settles
-    every pair tried whose closures are complete."""
+    those miss, each in both formats."""
     extras = [
         # witness-search
         (["ibn-check", "-", "--algebra", "leavitt", "--max-depth", "1"],

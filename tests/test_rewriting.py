@@ -5,8 +5,11 @@ import random
 
 import pytest
 
+import cohnibn.rewriting
 from cohnibn import (
     EQUIVALENT,
+    InternalInvariantViolation,
+    LatticeSeparation,
     NOT_EQUIVALENT,
     OutOfRangeError,
     ReductionTrace,
@@ -28,7 +31,6 @@ from cohnibn import (
     graph_from,
     rose_two,
     scale,
-    settle_without_search,
     solve_exact,
     validate,
 )
@@ -268,10 +270,21 @@ def test_decide_equivalent_even_pair_meets_after_one_step():
 
 
 def test_decide_equivalent_disjoint_complete_closures():
+    # Both closures are complete and disjoint, so the lattice stage settles
+    # the pair before any search.
     rs = incidence(line_graph())
     out = decide_equivalent((1, 0, 0), (0, 0, 2), rs)
     assert out.status == NOT_EQUIVALENT
-    assert out.reason == "disjoint-closures"
+    assert out.reason == "lattice-separation"
+    assert check_lattice_separation((1, 0, 0), (0, 0, 2), rs, out.lattice)
+
+
+def test_search_that_completes_disjoint_closures_is_a_violation(monkeypatch):
+    # With the lattice stage silenced, the search completes both closures
+    # without a join, which decide_equivalent's docstring proves impossible.
+    monkeypatch.setattr(cohnibn.rewriting, "separating_functional", lambda *_: None)
+    with pytest.raises(InternalInvariantViolation):
+        decide_equivalent((1, 0, 0), (0, 0, 2), incidence(line_graph()))
 
 
 def test_disjoint_closures_are_always_lattice_separated():
@@ -289,42 +302,47 @@ def test_disjoint_closures_are_always_lattice_separated():
                         for _ in range(2))
                 if not any(a) or not any(b):
                     continue
-                if decide_equivalent(a, b, rs, bounds).reason != "disjoint-closures":
+                ca, cb = (forward_closure(v, rs, bounds) for v in (a, b))
+                if ca.truncated or cb.truncated or ca.elements & cb.elements:
                     continue
                 disjoint += 1
-                settled = settle_without_search(a, b, rs)
+                settled = decide_equivalent(a, b, rs, bounds)
                 assert settled.reason == "lattice-separation", (g, a, b)
                 assert check_lattice_separation(a, b, rs, settled.lattice)
     assert disjoint >= 1000
 
 
-def test_settle_without_search_gamma_short_circuit():
+def test_decide_equivalent_gamma_short_circuit():
     rs = incidence(f_rose_two())
     cert = solve_exact(rs)
-    out = settle_without_search((1, 0), (2, 0), rs, invariant=cert)
+    out = decide_equivalent((1, 0), (2, 0), rs, invariant=cert)
     assert out.status == NOT_EQUIVALENT
     assert out.reason == "gamma-separation"
     assert out.gamma_values == (2, 4)
+    assert out.lattice is None
 
 
 def test_decide_equivalent_equal_gamma_does_not_prove_equivalence():
     rs = incidence(f_rose_two())
     cert = solve_exact(rs)
     # (2, 8) and (0, 4) share the weight -4 yet lie in distinct classes;
-    # equal weights must not short-circuit, so only a search can go on,
-    # and it ends inconclusive (one side is an infinite chain).
-    assert settle_without_search((2, 8), (0, 4), rs, invariant=cert) is None
+    # equal weights must not short-circuit, and a - b lies in the lattice,
+    # so only the search can go on, and it ends inconclusive (one side is
+    # an infinite chain).
     out = decide_equivalent(
-        (2, 8), (0, 4), rs, SearchBounds(max_total_coefficient=30)
+        (2, 8), (0, 4), rs, SearchBounds(max_total_coefficient=30), cert
     )
     assert out.status == UNKNOWN
     assert out.reason != "gamma-separation"
+    assert out.lattice is None
 
 
 def test_decide_equivalent_unknown_on_truncation():
+    # (1, 2) ~ (2, 4) in one firing, which the coefficient cap prunes.
     rs = _f_r2_system()
+    assert decide_equivalent((1, 2), (2, 4), rs).status == EQUIVALENT
     out = decide_equivalent(
-        (1, 0), (2, 0), rs, SearchBounds(max_total_coefficient=8)
+        (1, 2), (2, 4), rs, SearchBounds(max_total_coefficient=3)
     )
     assert out.status == UNKNOWN
 
@@ -335,7 +353,8 @@ def test_decide_equivalent_no_rules_free_monoid():
     assert decide_equivalent((1, 0, 0), (1, 0, 0), free).status == EQUIVALENT
     out = decide_equivalent((1, 0, 0), (0, 1, 0), free)
     assert out.status == NOT_EQUIVALENT
-    assert out.reason == "disjoint-closures"
+    assert out.reason == "lattice-separation"
+    assert check_lattice_separation((1, 0, 0), (0, 1, 0), free, out.lattice)
 
 
 def test_normal_form_line_and_companion():
@@ -406,7 +425,7 @@ def test_lattice_evidence_check_rejects_tampering():
         (rose3, (1,), (2,), ((0,), (1,), 2)),
     ):
         rs = incidence(graph)
-        outcome = settle_without_search(a, b, rs)
+        outcome = decide_equivalent(a, b, rs)
         assert (outcome.status, outcome.reason) == (NOT_EQUIVALENT, "lattice-separation")
         sep = outcome.lattice
         assert (sep.generators, sep.functional, sep.modulus) == expected
@@ -422,4 +441,16 @@ def test_lattice_evidence_check_rejects_tampering():
             assert not check_lattice_separation(a, b, rs, tampered), tampered
     # The search alone cannot refute there: every closure on the rose is infinite.
     rs = incidence(rose3)
-    assert decide_equivalent((1,), (2,), rs, SearchBounds(max_states=50)).status == UNKNOWN
+    assert forward_closure((1,), rs, SearchBounds(max_states=50)).truncated
+    assert forward_closure((2,), rs, SearchBounds(max_states=50)).truncated
+
+
+def test_lattice_evidence_check_rejects_wrong_length():
+    # On u -> v -> w every generator is reachable and u, v, w weigh the
+    # same, so the total separates (1,0,0) from (0,0,2).
+    rs = incidence(line_graph())
+    sep = LatticeSeparation(generators=(0, 1, 2), functional=(1, 1, 1), modulus=0)
+    assert check_lattice_separation((1, 0, 0), (0, 0, 2), rs, sep)
+    assert not check_lattice_separation((1, 0, 0, 5), (0, 0, 2, 0), rs, sep)
+    assert not check_lattice_separation((1, 0, 0), (0, 0, 2, 0), rs, sep)
+    assert not check_lattice_separation((1, 0), (0, 0), rs, sep)
