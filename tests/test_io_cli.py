@@ -803,8 +803,8 @@ def test_cli_reports_are_deterministic(cli):
 
 
 def _pinned_invocations():
-    """(argv, stdin) pairs: criterion 12's calls, then the routes and reasons
-    those miss, each in both formats."""
+    """(argv, stdin) pairs: criterion 12's calls, then each of them in its
+    other format, then the routes and reasons those miss, in both formats."""
     extras = [
         # witness-search
         (["ibn-check", "-", "--algebra", "leavitt", "--max-depth", "1"],
@@ -825,7 +825,13 @@ def _pinned_invocations():
         # companion with the X that --family suggests
         (["companion", "--family", "3", "2"], None),
     ]
-    return [(argv, None) for argv in criterion_12_invocations()] + [
+    criterion_12 = criterion_12_invocations()
+    other_format = [
+        [*argv[:-1], "text"] if argv[-2:] == ["--format", "json"]
+        else [*argv, "--format", "json"]
+        for argv in criterion_12
+    ]
+    return [(argv, None) for argv in criterion_12 + other_format] + [
         ([*argv, "--format", fmt], stdin)
         for argv, stdin in extras
         for fmt in ("text", "json")
@@ -862,6 +868,36 @@ _PINNED_REPORTS = {
     "monoid-equiv --example f-r2 -a 1,2 -b 2,4 --format json": "20ba3852592b3fa6",
     "monoid-equiv --example r2 --presentation cohn -a 1,0 -b 2,1": "a93f24150028f6fe",
     "ibn-check --example r2 --algebra leavitt --max-coeff 1": "1da725e622deb85c",
+    "examples line --format json": "0465e2b19aaa45b8",
+    "companion --example line --format json": "aa2ef264e07165c0",
+    "ibn-check --example line --algebra cohn --format json": "758a0716d9f08298",
+    "ibn-check --example line --algebra leavitt --format text": "f3c6ecca7208facf",
+    "examples r2 --format json": "acde793e432b0528",
+    "companion --example r2 --format json": "ac01a95313200a39",
+    "ibn-check --example r2 --algebra cohn --format json": "08dd3e5c5dca90be",
+    "ibn-check --example r2 --algebra leavitt --format text": "1f07e6dba65feae2",
+    "examples f-r2 --format json": "f7d5ccf29e804208",
+    "companion --example f-r2 --format json": "59ff4dc5ed02ceb8",
+    "ibn-check --example f-r2 --algebra cohn --format json": "89b46368e79f53f0",
+    "ibn-check --example f-r2 --algebra leavitt --format text": "d2612eb05e115934",
+    "examples f-line --format json": "a89718854dfd8b0b",
+    "companion --example f-line --format json": "21f9c87a5e70f1da",
+    "ibn-check --example f-line --algebra cohn --format json": "930d0b166bf56d88",
+    "ibn-check --example f-line --algebra leavitt --format text": "53fbbf79e0f026ff",
+    "examples --format json": "f67e4e50aa79e9e9",
+    "examples family-3-2 --format json": "e42ad94f1a234dda",
+    "family 3 2 --format json": "e083518aec11a0ba",
+    "family 2 1 --format text": "b9815d4e42066500",
+    "companion --family 2 1 --x v2 --format text": "999fe26e74ca5e99",
+    "ibn-check --example relative-2-1 --algebra relative --format json":
+        "1459b286e83a72b9",
+    "ibn-check --family 3 2 --algebra relative --format text": "329019209e3a6189",
+    "monoid-equiv --example f-r2 -a 1,0 -b 2,0 --format json": "02564cc6b5d37442",
+    "monoid-equiv --example f-r2 -a 1,2 -b 2,4 --format text": "acafb1af217cb2b5",
+    "monoid-equiv --example r2 --presentation cohn -a 1,0 -b 2,1 --format json":
+        "6161b49e54e9c631",
+    "ibn-check --example r2 --algebra leavitt --max-coeff 1 --format json":
+        "fb93db6cb0ce65fc",
     "ibn-check - --algebra leavitt --max-depth 1 --format text": "b91e2e05d4a18152",
     "ibn-check - --algebra leavitt --max-depth 1 --format json": "f9456ba8a67a6022",
     "ibn-check --example family-3-2 --algebra leavitt --max-coeff 5 --format text":
