@@ -11,13 +11,14 @@ Exit codes: 0 success/certified, 10 refuted/not-equivalent, 20 unknown,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
 from pathlib import Path
 
 from . import __version__
-from .certificates import gamma, serialize_weights, solve_exact
+from .certificates import serialize_weights, solve_exact
 from .construct import family, regular_subset, relative_companion
 from .decision import (
     AlgebraSpec,
@@ -51,6 +52,7 @@ EXIT_USAGE = 2
 EXIT_INPUT = 3
 
 _EXIT_BY_STATUS = {
+    "ok": EXIT_OK,
     IBN_CERTIFIED: EXIT_OK,
     IBN_REFUTED: EXIT_REFUTED,
     IBN_UNKNOWN: EXIT_UNKNOWN,
@@ -155,14 +157,6 @@ def _report(command: str, arguments: dict, source: str, digest: str,
     }
 
 
-def _bounds_dict(bounds: SearchBounds) -> dict:
-    return {
-        "max_states": bounds.max_states,
-        "max_total_coefficient": bounds.max_total_coefficient,
-        "max_depth": bounds.max_depth,
-    }
-
-
 def _trace_dict(trace: ReductionTrace, generators: tuple[str, ...]) -> dict:
     return {
         "start": list(trace.start),
@@ -177,11 +171,27 @@ def _vec_str(vec) -> str:
     return "(" + ",".join(str(c) for c in vec) + ")"
 
 
-def _trace_str(trace: ReductionTrace, generators: tuple[str, ...]) -> str:
-    parts = [_vec_str(trace.start)]
-    for gen, vec in trace.steps:
-        parts.append(f"=[{generators[gen]}]=> {_vec_str(vec)}")
+def _trace_str(trace: dict) -> str:
+    parts = [_vec_str(trace["start"])]
+    for step in trace["steps"]:
+        parts.append(f"=[{step['generator']}]=> {_vec_str(step['result'])}")
     return " ".join(parts)
+
+
+def _decision_text(report: dict, body: list[str], *tail: str) -> str:
+    """A decision's text: its header, body, bounds and tail, one per line."""
+    bounds = report["result"]["bounds"]
+    lines = [
+        f"command: {report['command']}",
+        f"source: {report['input']['source']}",
+        f"digest: {report['input']['digest']}",
+        *body,
+        f"bounds: max-states={bounds['max_states']} "
+        f"max-coeff={bounds['max_total_coefficient']} "
+        f"max-depth={bounds['max_depth']}",
+        *tail,
+    ]
+    return "\n".join(lines) + "\n"
 
 
 def _emit(text: str, ns) -> None:
@@ -191,11 +201,13 @@ def _emit(text: str, ns) -> None:
         sys.stdout.write(text)
 
 
-def _emit_report(report: dict, ns, text: str) -> None:
+def _emit_report(report: dict, ns, text: str) -> int:
+    """Emit the report in the asked format; returns its status's exit code."""
     if ns.format == "json":
         _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", ns)
     else:
         _emit(text, ns)
+    return _EXIT_BY_STATUS[report["status"]]
 
 
 # ---------------------------------------------------------------- commands
@@ -237,8 +249,7 @@ def _cmd_companion(ns) -> int:
     footer = ["# incidence order: " + " ".join(rs.generators)]
     for name, row in zip(rs.generators, rows):
         footer.append(f"# incidence row {name}: " + " ".join(str(v) for v in row))
-    _emit_report(report, ns, body + "\n".join(footer) + "\n")
-    return EXIT_OK
+    return _emit_report(report, ns, body + "\n".join(footer) + "\n")
 
 
 def _cmd_ibn_check(ns) -> int:
@@ -262,7 +273,7 @@ def _cmd_ibn_check(ns) -> int:
         "route": verdict.route,
         "ibn": verdict.ibn,
         "imn": verdict.imn,
-        "bounds": _bounds_dict(bounds),
+        "bounds": dataclasses.asdict(bounds),
         "notes": list(verdict.notes),
         "audit": "pass",
     }
@@ -281,19 +292,15 @@ def _cmd_ibn_check(ns) -> int:
             "trace_m_prime": _trace_dict(w.trace_b, verdict.target.vertices),
         }
 
-    status = verdict.ibn
     report = _report("ibn-check", {
         "algebra": ns.algebra,
         "x": list(x),
         "max_states": ns.max_states,
         "max_coeff": ns.max_coeff,
         "max_depth": ns.max_depth,
-    }, source, digest, result, status)
+    }, source, digest, result, verdict.ibn)
 
     lines = [
-        "command: ibn-check",
-        f"source: {source}",
-        f"digest: {digest}",
         f"algebra: {ns.algebra}" + (f" (x: {' '.join(x)})" if x else ""),
         f"graph: {len(graph.vertices)} vertices, {len(graph.edges)} edges",
         f"target: {len(verdict.target.vertices)} vertices, "
@@ -302,27 +309,19 @@ def _cmd_ibn_check(ns) -> int:
         f"route: {verdict.route}",
         f"ibn: {verdict.ibn}",
     ]
-    if verdict.certificate is not None:
-        pairs = zip(verdict.certificate.generators,
-                    serialize_weights(verdict.certificate))
+    if "certificate" in result:
+        cert = result["certificate"]
+        pairs = zip(cert["generators"], cert["weights"])
         lines.append("certificate: " + " ".join(f"{g}={w}" for g, w in pairs))
-    if verdict.witness is not None:
-        w = verdict.witness
-        lines.append(f"witness: {w.m}*rho ~ {w.m_prime}*rho, "
-                     f"descendant {_vec_str(w.descendant)}")
-        lines.append("trace m: " + _trace_str(w.trace_a, verdict.target.vertices))
-        lines.append("trace m': " + _trace_str(w.trace_b, verdict.target.vertices))
+    if "witness" in result:
+        w = result["witness"]
+        lines.append(f"witness: {w['m']}*rho ~ {w['m_prime']}*rho, "
+                     f"descendant {_vec_str(w['descendant'])}")
+        lines.append("trace m: " + _trace_str(w["trace_m"]))
+        lines.append("trace m': " + _trace_str(w["trace_m_prime"]))
     lines.append(f"imn: {verdict.imn}")
     lines.extend(f"note: {note}" for note in verdict.notes)
-    lines.append(
-        f"bounds: max-states={bounds.max_states} "
-        f"max-coeff={bounds.max_total_coefficient} "
-        f"max-depth={bounds.max_depth}"
-    )
-    lines.append("audit: pass")
-
-    _emit_report(report, ns, "\n".join(lines) + "\n")
-    return _EXIT_BY_STATUS[verdict.ibn]
+    return _emit_report(report, ns, _decision_text(report, lines, "audit: pass"))
 
 
 def _cmd_monoid_equiv(ns) -> int:
@@ -343,19 +342,15 @@ def _cmd_monoid_equiv(ns) -> int:
     ):
         raise InternalInvariantViolation("lattice separation failed its own check")
 
-    digest = _digest(graph, ())
     result = {
         "presentation": ns.presentation,
         "generators": list(rs.generators),
         "a": list(vec_a),
         "b": list(vec_b),
         "status": outcome.status,
-        "bounds": _bounds_dict(bounds),
+        "bounds": dataclasses.asdict(bounds),
     }
     lines = [
-        "command: monoid-equiv",
-        f"source: {source}",
-        f"digest: {digest}",
         f"presentation: {ns.presentation}",
         "generators: " + " ".join(rs.generators),
         f"a: {_vec_str(vec_a)}",
@@ -367,8 +362,8 @@ def _cmd_monoid_equiv(ns) -> int:
         result["trace_a"] = _trace_dict(outcome.trace_a, rs.generators)
         result["trace_b"] = _trace_dict(outcome.trace_b, rs.generators)
         lines.append(f"descendant: {_vec_str(outcome.descendant)}")
-        lines.append("trace a: " + _trace_str(outcome.trace_a, rs.generators))
-        lines.append("trace b: " + _trace_str(outcome.trace_b, rs.generators))
+        lines.append("trace a: " + _trace_str(result["trace_a"]))
+        lines.append("trace b: " + _trace_str(result["trace_b"]))
     elif outcome.status == NOT_EQUIVALENT:
         result["reason"] = outcome.reason
         lines.append(f"reason: {outcome.reason}")
@@ -388,11 +383,6 @@ def _cmd_monoid_equiv(ns) -> int:
                 f"lattice: generators {' '.join(names)}, "
                 f"functional {_vec_str(sep.functional)}, modulus {sep.modulus}"
             )
-    lines.append(
-        f"bounds: max-states={bounds.max_states} "
-        f"max-coeff={bounds.max_total_coefficient} "
-        f"max-depth={bounds.max_depth}"
-    )
 
     report = _report("monoid-equiv", {
         "presentation": ns.presentation,
@@ -401,10 +391,8 @@ def _cmd_monoid_equiv(ns) -> int:
         "max_states": ns.max_states,
         "max_coeff": ns.max_coeff,
         "max_depth": ns.max_depth,
-    }, source, digest, result, outcome.status)
-
-    _emit_report(report, ns, "\n".join(lines) + "\n")
-    return _EXIT_BY_STATUS[outcome.status]
+    }, source, _digest(graph, ()), result, outcome.status)
+    return _emit_report(report, ns, _decision_text(report, lines))
 
 
 def _cmd_examples(ns) -> int:
@@ -416,8 +404,8 @@ def _cmd_examples(ns) -> int:
             "ok",
         )
         width = max(len(n) for n, _ in rows)
-        _emit_report(report, ns, "".join(f"{n:<{width}}  {d}\n" for n, d in rows))
-        return EXIT_OK
+        return _emit_report(
+            report, ns, "".join(f"{n:<{width}}  {d}\n" for n, d in rows))
 
     graph, x = load_example(ns.name)
     if ns.format == "json":
@@ -439,8 +427,7 @@ def _cmd_family(ns) -> int:
         "ok",
     )
     comments = (f"family n={ns.n} m={ns.m}", "x: " + " ".join(x))
-    _emit_report(report, ns, emit_graph_text(graph, comments=comments))
-    return EXIT_OK
+    return _emit_report(report, ns, emit_graph_text(graph, comments=comments))
 
 
 # ---------------------------------------------------------------- parser

@@ -26,10 +26,6 @@ class CompanionGraph:
     vertex_origin: dict[str, str]
     edge_origin: dict[str, str]
 
-    @property
-    def new_vertices(self) -> tuple[str, ...]:
-        return tuple(self.vertex_origin)
-
 
 def _fresh(base: str, taken: set[str]) -> str:
     # Single prime by default; more primes only when the user's names (or an

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .certificates import WeightCertificate, solve_exact, verify_certificate
-from .construct import cohn_companion, relative_companion
+from .construct import relative_companion
 from .errors import CohnIbnError, InternalInvariantViolation
 from .graphs import Graph, validate
 from .lattice import torsion_order
@@ -76,11 +76,9 @@ class Verdict:
 def resolve_target(spec: AlgebraSpec) -> Graph:
     """The graph whose Leavitt path algebra realizes the requested algebra."""
     graph = validate(spec.graph)
-    if spec.kind == KIND_COHN:
-        return cohn_companion(graph).graph
-    if spec.kind == KIND_RELATIVE:
-        return relative_companion(graph, spec.x).graph
-    return graph
+    if spec.kind == KIND_LEAVITT:
+        return graph
+    return relative_companion(graph, spec.x).graph  # a Cohn spec's x is ()
 
 
 def decide_ibn(

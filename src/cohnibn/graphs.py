@@ -28,14 +28,6 @@ class Graph:
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
 
-    @property
-    def num_vertices(self) -> int:
-        return len(self.vertices)
-
-    @property
-    def num_edges(self) -> int:
-        return len(self.edges)
-
 
 @dataclass(frozen=True)
 class VertexClassification:

@@ -21,7 +21,6 @@ change and dropping it if already seen, and stops at the state cap.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -129,10 +128,6 @@ class ReductionTrace:
     @property
     def end(self) -> Vector:
         return self.steps[-1][1] if self.steps else self.start
-
-    def rule_counts(self) -> Counter[int]:
-        """How often each generator's rule fired along the trace."""
-        return Counter(gen for gen, _ in self.steps)
 
     def replay(self, rs: RewriteSystem) -> Vector:
         """Re-apply every step, raising ValueError on any illegal step."""

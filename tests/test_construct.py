@@ -24,13 +24,13 @@ from conftest import make_random_graph
 def test_companion_of_rose_two():
     comp = cohn_companion(rose_two())
     assert comp.graph.vertices == ("v", "v'")
-    assert comp.graph.num_edges == 4
+    assert len(comp.graph.edges) == 4
     rs = incidence(comp.graph)
     assert rs.rule_add == ((2, 2),)
     assert rs.num_rules == 1
     assert comp.vertex_origin == {"v'": "v"}
     assert comp.edge_origin == {"e'": "e", "f'": "f"}
-    assert comp.new_vertices == ("v'",)
+    assert tuple(comp.vertex_origin) == ("v'",)
 
 
 def test_companion_of_line_graph():
@@ -53,11 +53,11 @@ def test_companion_duplicates_one_new_sink_per_regular():
         g = make_random_graph(rng)
         comp = cohn_companion(g)
         regs = classify(g).regular
-        assert len(comp.new_vertices) == len(regs)
+        assert len(comp.vertex_origin) == len(regs)
         assert set(comp.vertex_origin.values()) == set(regs)
         # every new vertex is a sink of the companion
         comp_regs = set(classify(comp.graph).regular)
-        assert all(v not in comp_regs for v in comp.new_vertices)
+        assert all(v not in comp_regs for v in comp.vertex_origin)
 
 
 def test_relative_companion_with_empty_x_matches_cohn_companion(corpus):
@@ -72,10 +72,10 @@ def test_relative_companion_adds_one_sink_per_regular_outside_x():
         regs = classify(g).regular
         x = tuple(rng.sample(regs, rng.randint(0, len(regs))))
         comp = relative_companion(g, x)
-        assert len(comp.new_vertices) == len(regs) - len(x)
+        assert len(comp.vertex_origin) == len(regs) - len(x)
         assert set(comp.vertex_origin.values()) == set(regs) - set(x)
         comp_regs = set(classify(comp.graph).regular)
-        assert all(v not in comp_regs for v in comp.new_vertices)
+        assert all(v not in comp_regs for v in comp.vertex_origin)
 
 
 def test_relative_companion_with_all_regulars_is_identity():
@@ -127,7 +127,7 @@ def test_iterated_companion_gets_fresh_names():
     twice = cohn_companion(once)
     # v' is taken, so the new sink for v picks up a second prime.
     assert twice.graph.vertices == ("v", "v'", "v''")
-    assert len(twice.new_vertices) == len(classify(once).regular)
+    assert len(twice.vertex_origin) == len(classify(once).regular)
 
 
 def test_family_structure():
@@ -159,5 +159,5 @@ def test_family_rejects_out_of_range_parameters():
 def test_user_prime_names_do_not_collide():
     g = validate(graph_from(["a", "a'"], [("e", "a", "a"), ("x", "a'", "a")]))
     comp = cohn_companion(g)
-    assert len(set(comp.graph.vertices)) == comp.graph.num_vertices
-    assert len({e.name for e in comp.graph.edges}) == comp.graph.num_edges
+    assert len(set(comp.graph.vertices)) == len(comp.graph.vertices)
+    assert len({e.name for e in comp.graph.edges}) == len(comp.graph.edges)

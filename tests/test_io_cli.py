@@ -150,7 +150,7 @@ def test_cli_companion_text_output_is_parseable(cli):
     assert code == EXIT_OK
     comp = validate(parse_graph(out))
     assert comp.vertices == ("v", "v'")
-    assert comp.num_edges == 4
+    assert len(comp.edges) == 4
     assert "# incidence row v: 2 2" in out
     assert "# incidence row v': 0 0" in out
 
@@ -227,7 +227,7 @@ def test_cli_companion_from_file_and_stdin(cli, tmp_path, monkeypatch):
     path.write_text(emit_graph_text(rose_two()))
     code, out, _ = cli(["companion", str(path)])
     assert code == EXIT_OK
-    assert validate(parse_graph(out)).num_vertices == 2
+    assert len(validate(parse_graph(out)).vertices) == 2
 
     import io
     import sys
@@ -235,7 +235,7 @@ def test_cli_companion_from_file_and_stdin(cli, tmp_path, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO(emit_graph_text(rose_two())))
     code, out2, _ = cli(["companion", "-"])
     assert code == EXIT_OK
-    assert validate(parse_graph(out2)).num_vertices == 2
+    assert len(validate(parse_graph(out2)).vertices) == 2
 
 
 def test_cli_missing_file(cli):
@@ -684,7 +684,7 @@ def test_cli_family_command(cli):
     code, out, _ = cli(["family", "3", "2"])
     assert code == EXIT_OK
     g = validate(parse_graph(out))
-    assert g.num_vertices == 3
+    assert len(g.vertices) == 3
     assert "# x: v2 v3" in out
 
     code, _, err = cli(["family", "0", "1"])
